@@ -33,13 +33,17 @@ examples:
 stalls:
 	$(GO) run ./cmd/dope-bench -exp stalls
 
-# Begin/End hot-path microbenchmarks with the allocation gate CI runs on
-# every push. Add OUT=BENCH_beginend.json to append a labeled entry to
-# the checked-in trajectory file when recording a milestone.
+# Begin/End and queue hand-off microbenchmarks with the allocation gates CI
+# runs on every push. Add RECORD=1 to append a labeled entry to each
+# suite's checked-in trajectory file (BENCH_beginend.json, BENCH_queue.json)
+# when recording a milestone; GOMAXPROCS in the environment picks the
+# parallelism the entry is recorded at.
 BENCH_LABEL ?= dev
-OUT ?=
+RECORD ?=
 bench:
-	$(GO) run ./cmd/dope-bench -bench beginend -label $(BENCH_LABEL) \
-		$(if $(OUT),-out $(OUT),) -gate
+	@set -e; for suite in beginend queue; do \
+		$(GO) run ./cmd/dope-bench -bench $$suite -label "$(BENCH_LABEL)" \
+			$(if $(RECORD),-out BENCH_$$suite.json,) -gate; \
+	done
 
 ci: build vet test examples

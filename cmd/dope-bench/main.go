@@ -9,6 +9,7 @@
 //	dope-bench -exp table5 -scale 0.5
 //	dope-bench -all
 //	dope-bench -bench beginend -label after -out BENCH_beginend.json -gate
+//	dope-bench -bench queue -label after -out BENCH_queue.json -gate
 //
 // Simulated experiments accept -scale to shrink/grow the task counts
 // relative to the paper's 500-task runs; live experiments run the real
@@ -17,7 +18,9 @@
 // The -bench mode runs the executive's own overhead microbenchmarks
 // (internal/microbench) and appends a labeled entry to a BENCH_*.json
 // trajectory file; -gate additionally fails the process when the
-// uncontended Begin/End path allocates.
+// uncontended Begin/End path, or a hand-off through a bounded queue,
+// allocates. GOMAXPROCS in the environment selects the parallelism an entry
+// is recorded at; a file keeps one entry per label and GOMAXPROCS.
 package main
 
 import (
@@ -40,10 +43,10 @@ func main() {
 		list   = flag.Bool("list", false, "list available experiments")
 		all    = flag.Bool("all", false, "run every simulated experiment (skips live-*)")
 		format = flag.String("format", "text", "output format: text | csv | json | plot")
-		bench  = flag.String("bench", "", "overhead microbenchmark suite to run: beginend")
+		bench  = flag.String("bench", "", "overhead microbenchmark suite to run: beginend | queue")
 		out    = flag.String("out", "", "append the -bench entry to this BENCH_*.json trajectory file")
 		label  = flag.String("label", "dev", "label for the -bench trajectory entry")
-		gate   = flag.Bool("gate", false, "with -bench: exit nonzero if the uncontended Begin/End path allocates")
+		gate   = flag.Bool("gate", false, "with -bench: exit nonzero if a gated case of the suite allocates")
 	)
 	flag.Parse()
 	outputFormat = *format
@@ -74,13 +77,18 @@ func main() {
 // labeled entry to the trajectory file (when -out is given), and applies
 // the allocation gate (when -gate is given).
 func runBench(suite, outFile, label string, gate bool) {
-	if suite != "beginend" {
-		fmt.Fprintf(os.Stderr, "dope-bench: unknown -bench suite %q (want beginend)\n", suite)
+	var results []microbench.Result
+	switch suite {
+	case "beginend":
+		results = microbench.BeginEnd()
+	case "queue":
+		results = microbench.Queue()
+	default:
+		fmt.Fprintf(os.Stderr, "dope-bench: unknown -bench suite %q (want beginend or queue)\n", suite)
 		os.Exit(2)
 	}
-	results := microbench.BeginEnd()
 	for _, r := range results {
-		fmt.Printf("%-24s %12d iters %12.1f ns/op %6d B/op %6d allocs/op\n",
+		fmt.Printf("%-28s %12d iters %12.1f ns/op %6d B/op %6d allocs/op\n",
 			r.Name, r.Iterations, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
 	if outFile != "" {
@@ -100,13 +108,14 @@ func runBench(suite, outFile, label string, gate bool) {
 			fmt.Fprintln(os.Stderr, "dope-bench:", err)
 			os.Exit(1)
 		}
-		fmt.Println("gate: ok (uncontended Begin/End is allocation-free)")
+		fmt.Printf("gate: ok (%s suite's gated cases are allocation-free)\n", suite)
 	}
 }
 
 // appendEntry reads the existing trajectory (if any), appends entry, and
-// rewrites the file. An entry with the same label replaces its predecessor
-// so re-running `make bench` does not grow the file without bound.
+// rewrites the file. An entry with the same label and GOMAXPROCS replaces
+// its predecessor so re-running `make bench` does not grow the file without
+// bound.
 func appendEntry(path string, entry microbench.Entry) error {
 	var entries []microbench.Entry
 	if data, err := os.ReadFile(path); err == nil {
@@ -116,7 +125,7 @@ func appendEntry(path string, entry microbench.Entry) error {
 	}
 	replaced := false
 	for i := range entries {
-		if entries[i].Label == entry.Label {
+		if entries[i].Label == entry.Label && entries[i].GoMaxProcs == entry.GoMaxProcs {
 			entries[i] = entry
 			replaced = true
 			break

@@ -328,7 +328,8 @@ func (l *Loader) LoadDir(dir string, importPath string) ([]*Package, error) {
 }
 
 // LoadTree loads the units of every package directory under root,
-// skipping testdata, vendor, and hidden directories.
+// skipping testdata, vendor, and hidden directories, and — as the go tool's
+// "./..." does — any subdirectory that is a module of its own.
 func (l *Loader) LoadTree(root string) ([]*Package, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -346,6 +347,11 @@ func (l *Loader) LoadTree(root string) ([]*Package, error) {
 		if path != abs && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
+		}
+		if path != abs {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		us, err := l.LoadDir(path, "")
 		if err != nil {

@@ -29,6 +29,12 @@ type EDP struct {
 	// (default 0.02).
 	Tolerance float64
 
+	seen stageSet
+	edpState
+}
+
+// edpState is the climb's memory; it is per stage set (see stageSet).
+type edpState struct {
 	growing     bool // current hill-climb direction (start growing)
 	started     bool
 	pending     bool
@@ -49,6 +55,9 @@ func (m *EDP) Reconfigure(r *core.Report) *core.Config {
 	}
 	if nest == nil {
 		return nil
+	}
+	if m.seen.changed(nest) {
+		m.edpState = edpState{}
 	}
 	minSamples := m.MinSamples
 	if minSamples == 0 {

@@ -20,6 +20,12 @@ type FDP struct {
 	// MinSamples gates acting before the monitors have signal (default 8).
 	MinSamples uint64
 
+	seen stageSet
+	fdpState
+}
+
+// fdpState is the climb's memory; it is per stage set (see stageSet).
+type fdpState struct {
 	lastExtents []int
 	lastRate    float64
 	pending     bool // a step was taken and awaits evaluation
@@ -38,6 +44,9 @@ func (m *FDP) Reconfigure(r *core.Report) *core.Config {
 	}
 	if nest == nil {
 		return nil
+	}
+	if m.seen.changed(nest) {
+		m.fdpState = fdpState{}
 	}
 	minSamples := m.MinSamples
 	if minSamples == 0 {

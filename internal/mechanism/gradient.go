@@ -35,6 +35,12 @@ type Gradient struct {
 	// decision (default 2).
 	Cooldown int
 
+	seen stageSet
+	gradientState
+}
+
+// gradientState holds stage indices, so it is per stage set (see stageSet).
+type gradientState struct {
 	cool     int
 	lastFrom int // donor of the last move, for anti-ping-pong
 	lastTo   int
@@ -51,6 +57,9 @@ func (m *Gradient) Reconfigure(r *core.Report) *core.Config {
 	}
 	if r.Root == nil || len(r.Root.Stages) == 0 {
 		return nil
+	}
+	if m.seen.changed(r.Root) {
+		m.gradientState = gradientState{}
 	}
 	stages := r.Root.Stages
 	threads := m.Threads

@@ -109,6 +109,25 @@ func clampToSpec(extents []int, stages []core.StageReport) []int {
 	return extents
 }
 
+// stageSet remembers which alternative, with how many stages, a mechanism's
+// per-stage memory (extent vectors, stage indices, histories keyed by extent
+// signature) was learned on. An administrator's SetConfig or another
+// mechanism can switch the alternative under a live mechanism; memory
+// learned on the old stage set then indexes stages that no longer exist.
+type stageSet struct{ alt, stages int }
+
+// changed reports whether nest runs a different stage set than at the
+// previous call, and remembers the current one. The first call reports
+// true; resetting memory that is still empty costs nothing.
+func (s *stageSet) changed(nest *core.NestReport) bool {
+	now := stageSet{alt: nest.AltIndex, stages: len(nest.Stages)}
+	if *s == now {
+		return false
+	}
+	*s = now
+	return true
+}
+
 // execWeights extracts per-stage execution-time weights from a nest report,
 // preferring the smoothed estimate and falling back to the lifetime mean.
 func execWeights(stages []core.StageReport) []float64 {

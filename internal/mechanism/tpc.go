@@ -40,11 +40,17 @@ type TPC struct {
 	// deciding whether a ramp step helped (default 0.02).
 	RateTolerance float64
 
+	seen stageSet
+	tpcState
+}
+
+// tpcState is everything the controller has learned. All of it is per
+// stage set — extent vectors, and a history keyed by extent signature —
+// so Reconfigure starts over from the ramp when the alternative changes
+// under it.
+type tpcState struct {
 	phase        tpcPhase
 	history      map[string]float64 // config signature -> observed rate
-	lastSig      string
-	lastExtents  []int
-	bestSig      string
 	bestRate     float64
 	bestExtents  []int
 	explored     int
@@ -86,6 +92,9 @@ func (m *TPC) Reconfigure(r *core.Report) *core.Config {
 	if nest == nil {
 		return nil
 	}
+	if m.seen.changed(nest) {
+		m.tpcState = tpcState{}
+	}
 	minSamples := m.MinSamples
 	if minSamples == 0 {
 		minSamples = 8
@@ -118,7 +127,6 @@ func (m *TPC) Reconfigure(r *core.Report) *core.Config {
 	m.history[sig] = rate
 	if rate > m.bestRate && (m.Budget <= 0 || power <= m.Budget) {
 		m.bestRate = rate
-		m.bestSig = sig
 		m.bestExtents = append([]int(nil), cur...)
 	}
 
@@ -195,8 +203,6 @@ func (m *TPC) Reconfigure(r *core.Report) *core.Config {
 	if next == nil {
 		return nil
 	}
-	m.lastSig = sig
-	m.lastExtents = cur
 	m.settle = m.settleTicks()
 	target.Alt = nest.AltIndex
 	target.Extents = clampToSpec(next, nest.Stages)

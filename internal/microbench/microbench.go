@@ -1,11 +1,12 @@
 // Package microbench measures the executive's own per-task overhead — the
-// Begin/End hot path — outside `go test`, so cmd/dope-bench can emit a
-// benchmark trajectory file (BENCH_beginend.json) that is checked in and
-// compared across PRs. The paper's §8.2 requires DoPE's monitoring and
-// orchestration overhead to stay negligible relative to task grain; these
-// numbers are the repo's standing evidence.
+// Begin/End hot path and the queue hand-off (queue.go) — outside `go test`,
+// so cmd/dope-bench can emit benchmark trajectory files (BENCH_beginend.json,
+// BENCH_queue.json) that are checked in and compared across PRs. The paper's
+// §8.2 requires DoPE's monitoring and orchestration overhead to stay
+// negligible relative to task grain; these numbers are the repo's standing
+// evidence.
 //
-// Two variants bracket the interesting regimes:
+// The Begin/End variants bracket the interesting regimes:
 //
 //   - BeginEnd: one worker, one hardware context — the uncontended fast
 //     path. The CI gate requires 0 allocs/op here.
@@ -25,6 +26,7 @@ package microbench
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -34,13 +36,45 @@ import (
 	"dope/internal/platform"
 )
 
-// Result is one benchmark measurement.
+// Result is one benchmark measurement. A case measured more than once
+// reports every sample, the median as NsPerOp, the last sample's iteration
+// count, and the worst sample's allocations.
 type Result struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+	Name        string    `json:"name"`
+	Iterations  int       `json:"iterations"`
+	NsPerOp     float64   `json:"ns_per_op"`
+	AllocsPerOp int64     `json:"allocs_per_op"`
+	BytesPerOp  int64     `json:"bytes_per_op"`
+	Samples     []float64 `json:"samples_ns_per_op,omitempty"`
+}
+
+// benchCase is one named benchmark of a suite.
+type benchCase struct {
+	name  string
+	bench func(b *testing.B)
+}
+
+// measure runs every case samples times and returns one Result per case.
+func measure(cases []benchCase, samples int) []Result {
+	out := make([]Result, 0, len(cases))
+	for _, c := range cases {
+		res := Result{Name: c.name}
+		ns := make([]float64, samples)
+		for i := range ns {
+			r := testing.Benchmark(c.bench)
+			ns[i] = float64(r.T.Nanoseconds()) / float64(r.N)
+			res.Iterations = r.N
+			res.AllocsPerOp = max(res.AllocsPerOp, r.AllocsPerOp())
+			res.BytesPerOp = max(res.BytesPerOp, r.AllocedBytesPerOp())
+		}
+		if samples > 1 {
+			res.Samples = append([]float64(nil), ns...)
+		}
+		sort.Float64s(ns)
+		res.NsPerOp = ns[len(ns)/2]
+		out = append(out, res)
+	}
+	return out
 }
 
 // Entry is one labeled run of the whole suite — one point on the
@@ -170,43 +204,34 @@ func runBeginEndCollector(b *testing.B) {
 
 // BeginEnd runs the Begin/End suite and returns its results.
 func BeginEnd() []Result {
-	cases := []struct {
-		name  string
-		bench func(b *testing.B)
-	}{
+	return measure([]benchCase{
 		{"BeginEnd", runBeginEnd(1)},
 		{"BeginEndContended8", runBeginEnd(8)},
 		{"BeginEndMultiTenant", runBeginEndMultiTenant},
 		{"BeginEndCollector", runBeginEndCollector},
-	}
-	out := make([]Result, 0, len(cases))
-	for _, c := range cases {
-		r := testing.Benchmark(c.bench)
-		out = append(out, Result{
-			Name:        c.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
-	}
-	return out
+	}, 1)
 }
 
 // Gate enforces the benchmark acceptance floor: the uncontended Begin/End
 // path must be allocation-free — single-tenant, multi-tenant, and with a
-// live-ops collector attached alike. It returns an error naming the first
-// violation.
+// live-ops collector attached alike — and so must a hand-off through a
+// bounded queue. It returns an error naming the first violation.
 func Gate(results []Result) error {
 	for _, r := range results {
 		switch r.Name {
 		case "BeginEnd", "BeginEndMultiTenant", "BeginEndCollector":
-		default:
-			continue
-		}
-		if r.AllocsPerOp > 0 {
-			return fmt.Errorf("microbench: %s allocates %d objects/op, want 0 (Begin/End fast path must be allocation-free)",
-				r.Name, r.AllocsPerOp)
+			if r.AllocsPerOp > 0 {
+				return fmt.Errorf("microbench: %s allocates %d objects/op, want 0 (Begin/End fast path must be allocation-free)",
+					r.Name, r.AllocsPerOp)
+			}
+		case "QueueSPSC64", "QueuePipe":
+			// A queue that reallocates its backing store every capacity-th
+			// operation stays far below one object per op, so the whole-number
+			// allocs/op cannot see it; bytes/op can.
+			if r.AllocsPerOp > 0 || r.BytesPerOp > 0 {
+				return fmt.Errorf("microbench: %s allocates %d objects, %d bytes/op, want 0 (a bounded queue's ring is allocated once)",
+					r.Name, r.AllocsPerOp, r.BytesPerOp)
+			}
 		}
 	}
 	return nil

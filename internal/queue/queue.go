@@ -16,6 +16,8 @@ package queue
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,12 +76,23 @@ func (p OverloadPolicy) String() string {
 
 // Queue is a FIFO of items of type T, safe for any number of concurrent
 // producers and consumers. A capacity of 0 means unbounded.
+//
+// Items live in one power-of-two ring of cells indexed by two counters that
+// only ever grow: head counts cells taken off the front (served or shed),
+// tail counts cells pushed, and cell i sits at ring[i&(len(ring)-1)]. A
+// bounded queue's ring is allocated once, at construction; an unbounded
+// queue's ring doubles when a push finds it full and never shrinks. Under
+// q.mu a hand-off is index arithmetic, one atomic occupancy store and the
+// condition-variable signal; see DESIGN.md, "Queue hand-off path".
 type Queue[T any] struct {
 	mu       sync.Mutex
-	notEmpty *sync.Cond
-	notFull  *sync.Cond
-	items    []T
-	capacity int
+	notEmpty sync.Cond
+	notFull  sync.Cond
+	ring     []cell[T]
+	head     uint64
+	tail     uint64 // also the count of successful enqueues
+	dequeued uint64
+	limit    uint64 // capacity; MaxUint64 when unbounded
 	policy   OverloadPolicy
 	closed   bool
 	// wakeCh, when non-nil, is closed to wake DequeueWhile waiters on
@@ -87,36 +100,68 @@ type Queue[T any] struct {
 	// without DequeueWhile consumers pay nothing per enqueue.
 	//
 	// Wakeup audit: every path that makes an item (or closure) observable —
-	// Enqueue, TryEnqueue, the shed-oldest swap, and Close — must call
-	// wakeLocked before releasing q.mu, or a DequeueWhile waiter sleeps a
-	// full poll period on work that is already there. Dequeue-side
-	// transitions (occupancy dropping) deliberately do not wake: waiters
-	// wait for items, and predicates that watch occupancy fall are served
-	// by the poll timeout. TestBoundedEnqueueWakesDequeueWhile is the
-	// regression test for the enqueue side.
+	// pushLocked, which Enqueue, TryEnqueue and the shed-oldest swap all go
+	// through, and Close — must call wakeLocked before releasing q.mu, or a
+	// DequeueWhile waiter sleeps a full poll period on work that is already
+	// there. Dequeue-side transitions (occupancy dropping) deliberately do
+	// not wake: waiters wait for items, and predicates that watch occupancy
+	// fall are served by the poll timeout.
+	// TestBoundedEnqueueWakesDequeueWhile is the regression test for the
+	// enqueue side.
 	wakeCh chan struct{}
 
-	// Sojourn tracking: stamps mirrors items (each element's enqueue time in
-	// UnixNano) and every dequeue folds the item's wait into the EWMA.
-	// Shed items — the head dropped by ShedOldest, the newcomer refused by
-	// ShedNewest — are deliberately NOT folded: they never received service,
-	// and counting their waits would let survivorship skew the estimate the
-	// what-if profiler reads (under shed-oldest the longest waiters are
-	// exactly the ones dropped, so folding them would overstate the sojourn
-	// of the work that actually flowed — and folding the refused newcomers'
-	// zero waits would understate it). nowFn is the injectable clock for
-	// tests and simulations.
-	stamps     []int64
-	nowFn      func() int64
-	sojourn    *stats.EWMA
-	sojournObs uint64
+	// Sojourn tracking: a stamped cell carries its enqueue time and its
+	// dequeue folds the wait into the EWMA. Shed items — the head dropped by
+	// ShedOldest, the newcomer refused by ShedNewest — are deliberately NOT
+	// folded: they never received service, and counting their waits would
+	// let survivorship skew the estimate the what-if profiler reads (under
+	// shed-oldest the longest waiters are exactly the ones dropped, so
+	// folding them would overstate the sojourn of the work that actually
+	// flowed — and folding the refused newcomers' zero waits would
+	// understate it).
+	//
+	// Only every stride-th push is stamped; the rest carry unstamped and
+	// cost no clock read on either side. stride adapts to the gap between
+	// consecutive stamps (see stampLocked), so it is 1 — every item
+	// stamped — on any queue whose items arrive at least 100 µs apart
+	// (up to ~10 k items/s). nowFn is the injectable clock for tests and
+	// simulations.
+	stride    uint32
+	skip      uint32 // pushes left before the next stamp
+	lastStamp int64  // unstamped until the first stamp
+	nowFn     func() int64
+	sojourn   stats.EWMA
 
-	occupancy atomic.Int64 // mirrors len(items) for lock-free Len
-	enqueued  atomic.Uint64
-	dequeued  atomic.Uint64
+	occupancy atomic.Int64 // mirrors tail-head for lock-free Len
 	shed      atomic.Uint64
 	peak      atomic.Int64
 }
+
+// cell is one ring slot: an item and its enqueue time, or unstamped.
+type cell[T any] struct {
+	item  T
+	stamp int64
+}
+
+const (
+	// unstamped marks a cell the sojourn sampler skipped.
+	unstamped = math.MinInt64
+	// maxStride bounds how sparse stamping gets: at most 63 in 64 items go
+	// unstamped, however hot the queue.
+	maxStride = 64
+	// A stamp closer than strideUpGap to the previous one doubles the
+	// stride, one further than strideDownGap halves it. Between them the
+	// stride holds, so a steady stream settles instead of oscillating.
+	strideUpGap   = int64(100 * time.Microsecond)
+	strideDownGap = int64(400 * time.Microsecond)
+	// minRing is an unbounded queue's first allocation, in cells.
+	minRing = 8
+)
+
+// epoch anchors the queues' default clock. Stamps are only ever subtracted
+// from one another, so time.Since (one monotonic read) replaces time.Now
+// (a wall and a monotonic read).
+var epoch = time.Now()
 
 // New returns an empty queue. capacity <= 0 means unbounded.
 func New[T any](capacity int) *Queue[T] {
@@ -126,18 +171,24 @@ func New[T any](capacity int) *Queue[T] {
 // NewWithPolicy returns an empty queue with the given overload policy. The
 // policy only matters for bounded queues; an unbounded queue never sheds.
 func NewWithPolicy[T any](capacity int, policy OverloadPolicy) *Queue[T] {
-	q := &Queue[T]{capacity: capacity, policy: policy}
-	q.notEmpty = sync.NewCond(&q.mu)
-	q.notFull = sync.NewCond(&q.mu)
+	q := &Queue[T]{
+		limit:     math.MaxUint64,
+		policy:    policy,
+		stride:    1,
+		lastStamp: unstamped,
+		sojourn:   *stats.NewEWMA(sojournAlpha),
+	}
+	if capacity > 0 {
+		q.limit = uint64(capacity)
+		q.ring = make([]cell[T], 1<<bits.Len(uint(capacity-1)))
+	}
+	q.notEmpty.L = &q.mu
+	q.notFull.L = &q.mu
 	return q
 }
 
 // Policy returns the queue's overload policy.
-func (q *Queue[T]) Policy() OverloadPolicy {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.policy
-}
+func (q *Queue[T]) Policy() OverloadPolicy { return q.policy }
 
 // Enqueue appends item. On a full bounded queue the overload policy
 // decides: Block waits for space (returning ErrClosed if the queue closes
@@ -146,7 +197,7 @@ func (q *Queue[T]) Policy() OverloadPolicy {
 func (q *Queue[T]) Enqueue(item T) error {
 	q.mu.Lock()
 	if q.policy == Block {
-		for q.capacity > 0 && len(q.items) >= q.capacity && !q.closed {
+		for q.tail-q.head >= q.limit && !q.closed {
 			q.notFull.Wait()
 		}
 	}
@@ -154,46 +205,21 @@ func (q *Queue[T]) Enqueue(item T) error {
 		q.mu.Unlock()
 		return ErrClosed
 	}
-	if q.capacity > 0 && len(q.items) >= q.capacity {
-		switch q.policy {
-		case ShedNewest:
-			q.shed.Add(1)
+	if q.tail-q.head >= q.limit {
+		q.shed.Add(1)
+		if q.policy == ShedNewest {
 			q.mu.Unlock()
 			return ErrShed
-		case ShedOldest:
-			var zero T
-			q.items[0] = zero
-			q.items = q.items[1:]
-			// Drop the head's stamp without folding it into the sojourn
-			// EWMA: a shed item was never served, and its (maximal) wait
-			// would skew the survivor estimate. See the stamps field doc.
-			q.stamps = q.stamps[1:]
-			q.shed.Add(1)
 		}
+		// ShedOldest: drop the head without folding its stamp into the
+		// sojourn EWMA — a shed item was never served, and its (maximal)
+		// wait would skew the survivor estimate. See the sojourn field doc.
+		*q.cellLocked(q.head) = cell[T]{}
+		q.head++
 	}
-	q.items = append(q.items, item)
-	q.stamps = append(q.stamps, q.nowNanosLocked())
-	n := int64(len(q.items))
-	q.occupancy.Store(n)
-	for {
-		p := q.peak.Load()
-		if n <= p || q.peak.CompareAndSwap(p, n) {
-			break
-		}
-	}
-	q.enqueued.Add(1)
-	q.notEmpty.Signal()
-	q.wakeLocked()
+	q.pushLocked(item)
 	q.mu.Unlock()
 	return nil
-}
-
-// wakeLocked wakes all DequeueWhile waiters. Called with q.mu held.
-func (q *Queue[T]) wakeLocked() {
-	if q.wakeCh != nil {
-		close(q.wakeCh)
-		q.wakeCh = nil
-	}
 }
 
 // TryEnqueue appends item without blocking. It reports false when the queue
@@ -204,45 +230,93 @@ func (q *Queue[T]) TryEnqueue(item T) (bool, error) {
 	if q.closed {
 		return false, ErrClosed
 	}
-	if q.capacity > 0 && len(q.items) >= q.capacity {
+	if q.tail-q.head >= q.limit {
 		return false, nil
 	}
-	q.items = append(q.items, item)
-	q.stamps = append(q.stamps, q.nowNanosLocked())
-	n := int64(len(q.items))
-	q.occupancy.Store(n)
-	for {
-		p := q.peak.Load()
-		if n <= p || q.peak.CompareAndSwap(p, n) {
-			break
-		}
+	q.pushLocked(item)
+	return true, nil
+}
+
+// pushLocked writes item into the cell at tail, publishes the new
+// occupancy and wakes one blocked consumer and every DequeueWhile waiter.
+// Callers hold q.mu and have made sure the queue is below its limit.
+func (q *Queue[T]) pushLocked(item T) {
+	if q.tail-q.head == uint64(len(q.ring)) {
+		q.growLocked()
 	}
-	q.enqueued.Add(1)
+	c := q.cellLocked(q.tail)
+	c.item, c.stamp = item, q.stampLocked()
+	q.tail++
+	n := int64(q.tail - q.head)
+	q.occupancy.Store(n)
+	if n > q.peak.Load() { // q.mu serializes writers: no CAS needed
+		q.peak.Store(n)
+	}
 	q.notEmpty.Signal()
 	q.wakeLocked()
-	return true, nil
+}
+
+// cellLocked returns the ring slot of cell i. Callers hold q.mu.
+func (q *Queue[T]) cellLocked(i uint64) *cell[T] {
+	return &q.ring[i&uint64(len(q.ring)-1)]
+}
+
+// growLocked doubles a full unbounded ring, keeping every cell at the slot
+// its index maps to under the new mask. Callers hold q.mu.
+func (q *Queue[T]) growLocked() {
+	grown := make([]cell[T], max(2*len(q.ring), minRing))
+	for i := q.head; i != q.tail; i++ {
+		grown[i&uint64(len(grown)-1)] = q.ring[i&uint64(len(q.ring)-1)]
+	}
+	q.ring = grown
+}
+
+// stampLocked returns the enqueue time for the cell being pushed, or
+// unstamped for the stride-1 pushes out of every stride that the sampler
+// skips. On each stamp it compares the gap since the previous stamp with
+// the two thresholds and doubles or halves the stride, so the clock is read
+// about once per 100–400 µs on a hot queue and on every push on a slow one,
+// with no clock read beyond the stamps themselves. Callers hold q.mu.
+func (q *Queue[T]) stampLocked() int64 {
+	if q.skip > 0 {
+		q.skip--
+		return unstamped
+	}
+	now := q.nowNanosLocked()
+	if q.lastStamp != unstamped {
+		switch gap := now - q.lastStamp; {
+		case gap < strideUpGap && q.stride < maxStride:
+			q.stride *= 2
+		case gap > strideDownGap && q.stride > 1:
+			q.stride /= 2
+		}
+	}
+	q.lastStamp = now
+	q.skip = q.stride - 1
+	return now
+}
+
+// wakeLocked wakes all DequeueWhile waiters. Called with q.mu held.
+func (q *Queue[T]) wakeLocked() {
+	if q.wakeCh != nil {
+		close(q.wakeCh)
+		q.wakeCh = nil
+	}
 }
 
 // Dequeue removes and returns the oldest item, blocking while the queue is
 // empty. Once the queue is closed and drained it returns ErrClosed.
 func (q *Queue[T]) Dequeue() (T, error) {
 	q.mu.Lock()
-	for len(q.items) == 0 && !q.closed {
+	for q.head == q.tail && !q.closed {
 		q.notEmpty.Wait()
 	}
-	var zero T
-	if len(q.items) == 0 { // closed and drained
+	if q.head == q.tail { // closed and drained
 		q.mu.Unlock()
+		var zero T
 		return zero, ErrClosed
 	}
-	item := q.items[0]
-	q.items[0] = zero // allow GC of the element
-	q.items = q.items[1:]
-	q.observeSojournLocked(q.stamps[0])
-	q.stamps = q.stamps[1:]
-	q.occupancy.Store(int64(len(q.items)))
-	q.dequeued.Add(1)
-	q.notFull.Signal()
+	item := q.popLocked()
 	q.mu.Unlock()
 	return item, nil
 }
@@ -253,22 +327,32 @@ func (q *Queue[T]) Dequeue() (T, error) {
 func (q *Queue[T]) TryDequeue() (T, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var zero T
-	if len(q.items) == 0 {
+	if q.head == q.tail {
+		var zero T
 		if q.closed {
 			return zero, false, ErrClosed
 		}
 		return zero, false, nil
 	}
-	item := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
-	q.observeSojournLocked(q.stamps[0])
-	q.stamps = q.stamps[1:]
-	q.occupancy.Store(int64(len(q.items)))
-	q.dequeued.Add(1)
+	return q.popLocked(), true, nil
+}
+
+// popLocked takes the head cell for service: clears it (so the ring does
+// not pin the item for the GC), folds its wait into the sojourn EWMA if it
+// was stamped, publishes the new occupancy and wakes one blocked producer.
+// Callers hold q.mu and have made sure the queue is not empty.
+func (q *Queue[T]) popLocked() T {
+	c := q.cellLocked(q.head)
+	item, stamp := c.item, c.stamp
+	*c = cell[T]{}
+	if stamp != unstamped {
+		q.sojourn.Observe(float64(max(q.nowNanosLocked()-stamp, 0)) / 1e9)
+	}
+	q.head++
+	q.dequeued++
+	q.occupancy.Store(int64(q.tail - q.head))
 	q.notFull.Signal()
-	return item, true, nil
+	return item
 }
 
 // DequeueWhile dequeues like Dequeue but gives up when keepWaiting returns
@@ -290,17 +374,29 @@ func (q *Queue[T]) DequeueWhile(keepWaiting func() bool, poll time.Duration) (T,
 		}
 	}()
 	for {
-		item, ok, err := q.TryDequeue()
-		if ok || err != nil {
-			return item, ok, err
+		// One locked step per round: take an item, or see the closure, or
+		// register for the next wakeup. Registering under the same lock
+		// hold that saw the queue empty is what makes the wakeup
+		// unmissable.
+		q.mu.Lock()
+		if q.head != q.tail {
+			item := q.popLocked()
+			q.mu.Unlock()
+			return item, true, nil
 		}
-		if !keepWaiting() {
-			var zero T
+		var zero T
+		if q.closed {
+			q.mu.Unlock()
+			return zero, false, ErrClosed
+		}
+		if q.wakeCh == nil {
+			q.wakeCh = make(chan struct{})
+		}
+		wake := q.wakeCh
+		q.mu.Unlock()
+
+		if !keepWaiting() { // caller's code: never under q.mu
 			return zero, false, nil
-		}
-		wake := q.dequeueWait()
-		if wake == nil { // item or closure appeared since TryDequeue
-			continue
 		}
 		if timer == nil {
 			timer = time.NewTimer(poll)
@@ -315,21 +411,6 @@ func (q *Queue[T]) DequeueWhile(keepWaiting func() bool, poll time.Duration) (T,
 		case <-timer.C:
 		}
 	}
-}
-
-// dequeueWait returns a channel closed at the next enqueue or Close, or nil
-// when the queue already has items (or is closed) and the caller should
-// retry immediately.
-func (q *Queue[T]) dequeueWait() <-chan struct{} {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.items) > 0 || q.closed {
-		return nil
-	}
-	if q.wakeCh == nil {
-		q.wakeCh = make(chan struct{})
-	}
-	return q.wakeCh
 }
 
 // Close marks the queue closed. Blocked producers fail with ErrClosed;
@@ -367,10 +448,18 @@ func (q *Queue[T]) Len() int { return int(q.occupancy.Load()) }
 func (q *Queue[T]) Peak() int { return int(q.peak.Load()) }
 
 // Enqueued returns the total number of successful Enqueue operations.
-func (q *Queue[T]) Enqueued() uint64 { return q.enqueued.Load() }
+func (q *Queue[T]) Enqueued() uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.tail
+}
 
 // Dequeued returns the total number of successful Dequeue operations.
-func (q *Queue[T]) Dequeued() uint64 { return q.dequeued.Load() }
+func (q *Queue[T]) Dequeued() uint64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.dequeued
+}
 
 // Shed returns the total number of items dropped by the overload policy.
 func (q *Queue[T]) Shed() uint64 { return q.shed.Load() }
@@ -381,27 +470,13 @@ func (q *Queue[T]) nowNanosLocked() int64 {
 	if q.nowFn != nil {
 		return q.nowFn()
 	}
-	return time.Now().UnixNano()
+	return int64(time.Since(epoch))
 }
 
-// observeSojournLocked folds one dequeued item's wait into the sojourn EWMA.
-// Callers hold q.mu. Only served items reach here; the shed paths bypass it
-// by construction (see the stamps field doc).
-func (q *Queue[T]) observeSojournLocked(enqueuedAt int64) {
-	d := q.nowNanosLocked() - enqueuedAt
-	if d < 0 {
-		d = 0
-	}
-	if q.sojourn == nil {
-		q.sojourn = stats.NewEWMA(sojournAlpha)
-	}
-	q.sojourn.Observe(float64(d) / 1e9)
-	q.sojournObs++
-}
-
-// SetNowFunc installs a clock for sojourn stamps (UnixNano). Pass nil to
-// restore the wall clock. Intended for tests and virtual-time simulations;
-// call before the queue is shared between goroutines.
+// SetNowFunc installs a clock for sojourn stamps (nanoseconds since any
+// fixed origin; only differences are used). Pass nil to restore the
+// monotonic clock. Intended for tests and virtual-time simulations; call
+// before the queue is shared between goroutines.
 func (q *Queue[T]) SetNowFunc(now func() int64) {
 	q.mu.Lock()
 	q.nowFn = now
@@ -413,14 +488,12 @@ func (q *Queue[T]) SetNowFunc(now func() int64) {
 // contribute: under shed-oldest the longest waiters are exactly the dropped
 // ones, and folding them in would overstate the sojourn of the surviving
 // flow (and hence the apparent payoff of speeding up an overloaded stage).
-// Returns 0 before the first dequeue; check SojournSamples to distinguish
-// "fast" from "no data".
+// On a hot queue the mean is over the stamped sample of items, not all of
+// them. Returns 0 before the first dequeue; check SojournSamples to
+// distinguish "fast" from "no data".
 func (q *Queue[T]) MeanSojourn() float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.sojourn == nil {
-		return 0
-	}
 	return q.sojourn.Value()
 }
 
@@ -429,5 +502,5 @@ func (q *Queue[T]) MeanSojourn() float64 {
 func (q *Queue[T]) SojournSamples() uint64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.sojournObs
+	return q.sojourn.Count()
 }
