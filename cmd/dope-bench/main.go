@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"dope/internal/harness"
@@ -41,7 +40,7 @@ func main() {
 		exp    = flag.String("exp", "", "experiment id to run (see -list)")
 		scale  = flag.Float64("scale", 1.0, "task-count scale relative to the paper's runs")
 		list   = flag.Bool("list", false, "list available experiments")
-		all    = flag.Bool("all", false, "run every simulated experiment (skips live-*)")
+		all    = flag.Bool("all", false, "run every deterministic experiment (the simulated ones; regenerates results_sim.txt)")
 		format = flag.String("format", "text", "output format: text | csv | json | plot")
 		bench  = flag.String("bench", "", "overhead microbenchmark suite to run: beginend | queue")
 		out    = flag.String("out", "", "append the -bench entry to this BENCH_*.json trajectory file")
@@ -54,16 +53,15 @@ func main() {
 	switch {
 	case *list:
 		for _, e := range harness.Experiments() {
-			fmt.Printf("%-16s %s\n", e[0], e[1])
+			fmt.Printf("%-16s %s\n", e.ID, e.Desc)
 		}
 	case *bench != "":
 		runBench(*bench, *out, *label, *gate)
 	case *all:
 		for _, e := range harness.Experiments() {
-			if strings.HasPrefix(e[0], "live-") {
-				continue
+			if e.Deterministic {
+				run(e.ID, *scale)
 			}
-			run(e[0], *scale)
 		}
 	case *exp != "":
 		run(*exp, *scale)

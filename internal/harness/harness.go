@@ -92,35 +92,66 @@ func loads() []float64 {
 	return out
 }
 
-// Experiments lists every available experiment id with a description.
-func Experiments() [][2]string {
-	return [][2]string{
-		{"summary", "all headline claims, paper vs measured, in one table"},
-		{"fig2a", "transcode execution time vs load per inner DoP"},
-		{"fig2b", "transcode throughput vs load per inner DoP"},
-		{"fig2c", "transcode response time: statics vs oracle"},
-		{"fig11a", "x264 response time vs load: statics, WQT-H, WQ-Linear"},
-		{"fig11b", "swaptions response time vs load"},
-		{"fig11c", "bzip response time vs load"},
-		{"fig11d", "gimp response time vs load"},
-		{"fig12", "ferret response time vs load: statics vs DoPE"},
-		{"fig13", "ferret throughput vs time under TBF"},
-		{"fig14", "ferret power & throughput vs time under TPC"},
-		{"table3", "mechanism implementation sizes (lines of code)"},
-		{"ext-locality", "EXTENSION: task placement vs communication locality"},
-		{"ext-edp", "EXTENSION: the min energy-delay-product goal"},
-		{"ext-whatif", "EXTENSION: ferret what-if profile (causal virtual speedups)"},
-		{"ext-whatif-gradient", "EXTENSION: what-if Gradient vs statics and §7 mechanisms"},
-		{"tenants", "EXTENSION: multi-tenant isolation — misbehaver at 2x overload + 1% panics, arbitrated vs free-for-all"},
-		{"table4", "application port summary"},
-		{"table5", "ferret/dedup throughput by mechanism (Figure 15)"},
-		{"reconfig-dip", "real-runtime reconfiguration cost: in-place resize vs whole-nest respawn"},
-		{"faults", "real-runtime throughput under injected panics, by failure policy"},
-		{"stalls", "real-runtime stall tolerance (task deadlines) and overload protection (load shedding)"},
-		{"live-transcode", "real-runtime transcode server under WQ-Linear"},
-		{"live-ferret", "real-runtime ferret batch under TBF"},
-		{"live-power", "real-runtime ferret under TPC with a watt budget"},
-		{"live-goals", "real-runtime ferret: three goals switched at run time"},
+// Experiment is one catalog entry: its id, what it reproduces, whether its
+// output is a pure function of the source tree and scale (the simulated
+// tables; real-runtime experiments measure wall-clock time and table3 counts
+// source lines), and how to run it.
+type Experiment struct {
+	ID            string
+	Desc          string
+	Deterministic bool
+	run           func(scale float64) (*Table, error)
+}
+
+// scaled adapts a simulated experiment that takes the scale, fixed a table
+// that ignores it, and live a real-runtime experiment that can fail.
+func scaled(f func(float64) *Table) func(float64) (*Table, error) {
+	return func(scale float64) (*Table, error) { return f(scale), nil }
+}
+
+func fixed(f func() *Table) func(float64) (*Table, error) {
+	return func(float64) (*Table, error) { return f(), nil }
+}
+
+func live(f func() (*Table, error)) func(float64) (*Table, error) {
+	return func(float64) (*Table, error) { return f() }
+}
+
+func fig11(app string) func(float64) (*Table, error) {
+	return func(scale float64) (*Table, error) { return Fig11(app, scale), nil }
+}
+
+// Experiments lists every available experiment. `dope-bench -all` and the
+// checked-in results_sim.txt hold exactly the Deterministic ones, in this
+// order.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"summary", "all headline claims, paper vs measured, in one table", true, scaled(Summary)},
+		{"fig2a", "transcode execution time vs load per inner DoP", true, scaled(Fig2a)},
+		{"fig2b", "transcode throughput vs load per inner DoP", true, scaled(Fig2b)},
+		{"fig2c", "transcode response time: statics vs oracle", true, scaled(Fig2c)},
+		{"fig11a", "x264 response time vs load: statics, WQT-H, WQ-Linear", true, fig11("x264")},
+		{"fig11b", "swaptions response time vs load", true, fig11("swaptions")},
+		{"fig11c", "bzip response time vs load", true, fig11("bzip")},
+		{"fig11d", "gimp response time vs load", true, fig11("gimp")},
+		{"fig12", "ferret response time vs load: statics vs DoPE", true, scaled(Fig12)},
+		{"fig13", "ferret throughput vs time under TBF", true, scaled(Fig13)},
+		{"fig14", "ferret power & throughput vs time under TPC", true, scaled(Fig14)},
+		{"table3", "mechanism implementation sizes (lines of code)", false, fixed(Table3)},
+		{"ext-locality", "EXTENSION: task placement vs communication locality", true, scaled(ExtLocality)},
+		{"ext-edp", "EXTENSION: the min energy-delay-product goal", true, scaled(ExtEDP)},
+		{"ext-whatif", "EXTENSION: ferret what-if profile (causal virtual speedups)", true, scaled(ExtWhatIfProfile)},
+		{"ext-whatif-gradient", "EXTENSION: what-if Gradient vs statics and §7 mechanisms", true, scaled(ExtWhatIfGradient)},
+		{"tenants", "EXTENSION: multi-tenant isolation — misbehaver at 2x overload + 1% panics, arbitrated vs free-for-all", true, scaled(Tenants)},
+		{"table4", "application port summary", true, fixed(Table4)},
+		{"table5", "ferret/dedup throughput by mechanism (Figure 15)", true, scaled(Table5)},
+		{"reconfig-dip", "real-runtime reconfiguration cost: in-place resize vs whole-nest respawn", false, live(ReconfigDip)},
+		{"faults", "real-runtime throughput under injected panics, by failure policy", false, live(Faults)},
+		{"stalls", "real-runtime stall tolerance (task deadlines) and overload protection (load shedding)", false, live(Stalls)},
+		{"live-transcode", "real-runtime transcode server under WQ-Linear", false, live(LiveTranscode)},
+		{"live-ferret", "real-runtime ferret batch under TBF", false, live(LiveFerret)},
+		{"live-power", "real-runtime ferret under TPC with a watt budget", false, live(LivePower)},
+		{"live-goals", "real-runtime ferret: three goals switched at run time", false, live(LiveGoals)},
 	}
 }
 
@@ -131,60 +162,10 @@ func Run(id string, scale float64) (*Table, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	switch id {
-	case "summary":
-		return Summary(scale), nil
-	case "fig2a":
-		return Fig2a(scale), nil
-	case "fig2b":
-		return Fig2b(scale), nil
-	case "fig2c":
-		return Fig2c(scale), nil
-	case "fig11a":
-		return Fig11("x264", scale), nil
-	case "fig11b":
-		return Fig11("swaptions", scale), nil
-	case "fig11c":
-		return Fig11("bzip", scale), nil
-	case "fig11d":
-		return Fig11("gimp", scale), nil
-	case "fig12":
-		return Fig12(scale), nil
-	case "fig13":
-		return Fig13(scale), nil
-	case "fig14":
-		return Fig14(scale), nil
-	case "table3":
-		return Table3(), nil
-	case "ext-locality":
-		return ExtLocality(scale), nil
-	case "ext-edp":
-		return ExtEDP(scale), nil
-	case "ext-whatif":
-		return ExtWhatIfProfile(scale), nil
-	case "ext-whatif-gradient":
-		return ExtWhatIfGradient(scale), nil
-	case "tenants":
-		return Tenants(scale), nil
-	case "table4":
-		return Table4(), nil
-	case "table5":
-		return Table5(scale), nil
-	case "reconfig-dip":
-		return ReconfigDip()
-	case "faults":
-		return Faults()
-	case "stalls":
-		return Stalls()
-	case "live-transcode":
-		return LiveTranscode()
-	case "live-ferret":
-		return LiveFerret()
-	case "live-power":
-		return LivePower()
-	case "live-goals":
-		return LiveGoals()
-	default:
-		return nil, fmt.Errorf("harness: unknown experiment %q (see Experiments())", id)
+	for _, e := range Experiments() {
+		if e.ID == id {
+			return e.run(scale)
+		}
 	}
+	return nil, fmt.Errorf("harness: unknown experiment %q (see Experiments())", id)
 }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -214,6 +216,40 @@ func TestRunDispatchAndPrint(t *testing.T) {
 	}
 	if len(Experiments()) < 14 {
 		t.Fatal("experiment catalog incomplete")
+	}
+}
+
+// TestResultsSimReproducible pins the "figures unchanged" claim: the
+// checked-in results_sim.txt is exactly what `dope-bench -all` prints — every
+// Deterministic experiment at scale 1, in catalog order. A change that moves
+// a simulated figure must regenerate the file in the same commit.
+func TestResultsSimReproducible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every simulated experiment at paper scale")
+	}
+	want, err := os.ReadFile("../../results_sim.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, e := range Experiments() {
+		if !e.Deterministic {
+			continue
+		}
+		tab, err := Run(e.ID, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		tab.Fprint(&got)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range gotLines {
+			if i >= len(wantLines) || gotLines[i] != wantLines[i] {
+				t.Fatalf("results_sim.txt is stale at line %d:\n got: %s\nregenerate with `go run ./cmd/dope-bench -all > results_sim.txt`", i+1, gotLines[i])
+			}
+		}
+		t.Fatalf("results_sim.txt has %d lines, regenerated output %d", len(wantLines), len(gotLines))
 	}
 }
 
