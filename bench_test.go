@@ -115,22 +115,19 @@ func BenchmarkTable4(b *testing.B) {
 }
 
 // BenchmarkReconfigDip measures the live reconfiguration cost: forced extent
-// toggles on a running ferret batch under in-place worker-group resizing vs
-// the legacy whole-nest respawn, plus the simulator's view of the same A/B.
+// toggles on a running ferret batch under in-place worker-group resizing,
+// plus the simulator's view of the same extent-only search.
 func BenchmarkReconfigDip(b *testing.B) {
 	runExperiment(b, "reconfig-dip")
-	run := func(respawn bool) sim.PipelineResult {
-		return sim.RunPipeline(sim.Ferret(), sim.PipelineConfig{
-			Tasks: 1500, ControlEvery: 0.02,
-			Mechanism:  &mechanism.TBF{Threads: 24, DisableFusion: true},
-			Extents:    []int{1, 1, 1, 1, 1, 1},
-			ResizeCost: 0.002, DrainCost: 0.05, RespawnOnResize: respawn,
-		})
-	}
-	// Whole-run throughput, not steady-state: the drain penalty lands in the
+	res := sim.RunPipeline(sim.Ferret(), sim.PipelineConfig{
+		Tasks: 1500, ControlEvery: 0.02,
+		Mechanism:  &mechanism.TBF{Threads: 24, DisableFusion: true},
+		Extents:    []int{1, 1, 1, 1, 1, 1},
+		ResizeCost: 0.002, DrainCost: 0.05,
+	})
+	// Whole-run throughput, not steady-state: the resize freeze lands in the
 	// mechanism's search transient.
-	b.ReportMetric(run(false).Throughput, "inplace-q/s")
-	b.ReportMetric(run(true).Throughput, "respawn-q/s")
+	b.ReportMetric(res.Throughput, "inplace-q/s")
 }
 
 // BenchmarkFaults measures throughput under 1% injected panics for each

@@ -165,9 +165,6 @@ var (
 	WithInitialConfig = core.WithInitialConfig
 	// WithFeatures installs a caller-owned feature registry.
 	WithFeatures = core.WithFeatures
-	// WithWholeNestRespawn restores the legacy suspend-on-any-root-change
-	// behavior (A/B baseline for in-place resizing).
-	WithWholeNestRespawn = core.WithWholeNestRespawn
 	// WithProtocolCheck makes workers panic on Begin/End protocol misuse
 	// (double Begin, End without Begin, RunNest while holding); the panic
 	// surfaces as a run error. DOPE_DEBUG=1 enables it too. The static

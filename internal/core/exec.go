@@ -72,9 +72,8 @@ type Exec struct {
 	// tick vs. a second SetConfig) and the registration of a new run's
 	// worker groups, closing the load/compare/store and register/resize
 	// races.
-	installMu       sync.Mutex
-	respawnOnResize bool
-	protocolCheck   bool
+	installMu     sync.Mutex
+	protocolCheck bool
 
 	cfg     atomic.Pointer[Config]
 	curRun  atomic.Pointer[run]
@@ -291,15 +290,6 @@ func WithFeatures(f *platform.Features) Option {
 	}
 }
 
-// WithWholeNestRespawn restores the pre-worker-group behavior in which any
-// root-level change — extents included — suspends, drains, and respawns the
-// whole nest. It exists as the A/B baseline for measuring what in-place
-// resizing saves (the reconfig-dip experiment); applications should not
-// need it.
-func WithWholeNestRespawn() Option {
-	return func(e *Exec) { e.respawnOnResize = true }
-}
-
 // DefaultContexts is the size of the paper's evaluation platform.
 const DefaultContexts = 24
 
@@ -433,10 +423,9 @@ func (e *Exec) SetConfig(cfg *Config) {
 // reconfiguration protocol that realizes it: nothing beyond the store for
 // child-only changes, in-place worker-group resizes for root extent
 // changes, and suspend→drain→respawn only when the root alternative
-// changed (or WithWholeNestRespawn forces the legacy path). nc must already
-// be normalized and owned by the executive. Installs are serialized by
-// installMu so two concurrent callers cannot both compare against the same
-// stale configuration.
+// changed. nc must already be normalized and owned by the executive.
+// Installs are serialized by installMu so two concurrent callers cannot both
+// compare against the same stale configuration.
 func (e *Exec) install(nc *Config, mechName string) {
 	e.installMu.Lock()
 	old := e.cfg.Load()
@@ -446,8 +435,7 @@ func (e *Exec) install(nc *Config, mechName string) {
 	}
 	e.cfg.Store(nc)
 	e.reconfigs.Add(1)
-	respawn := rootAltDiffers(old, nc) ||
-		(e.respawnOnResize && rootLevelDiffers(old, nc))
+	respawn := rootAltDiffers(old, nc)
 	var ops []resizeOp
 	if !respawn {
 		if r := e.curRun.Load(); r != nil {
@@ -641,25 +629,6 @@ func rootAltDiffers(a, b *Config) bool {
 		return true
 	}
 	return a.Alt != b.Alt || len(a.Extents) != len(b.Extents)
-}
-
-// rootLevelDiffers reports whether the top-level alternative or extents
-// changed. It survives as the trigger predicate for the legacy
-// WithWholeNestRespawn mode, where any root change respawns the long-lived
-// root task instances.
-func rootLevelDiffers(a, b *Config) bool {
-	if a == nil || b == nil {
-		return true
-	}
-	if a.Alt != b.Alt || len(a.Extents) != len(b.Extents) {
-		return true
-	}
-	for i := range a.Extents {
-		if a.Extents[i] != b.Extents[i] {
-			return true
-		}
-	}
-	return false
 }
 
 // configAt resolves the configuration node for the nest at path (root name

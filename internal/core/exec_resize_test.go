@@ -244,44 +244,3 @@ func TestVirtualClockDrivesControlLoop(t *testing.T) {
 		t.Fatalf("processed = %d", processed.Load())
 	}
 }
-
-// TestWholeNestRespawnOptionForcesSuspension pins the legacy behavior kept
-// as the A/B baseline: with WithWholeNestRespawn, an extent-only change
-// suspends and respawns the whole nest instead of resizing in place.
-func TestWholeNestRespawnOptionForcesSuspension(t *testing.T) {
-	work := queue.New[int](0)
-	var processed atomic.Int64
-	spec := doallSpec(work, &processed)
-	e, err := New(spec, WithContexts(8), WithWholeNestRespawn(),
-		WithInitialConfig(&Config{Alt: 0, Extents: []int{2}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		work.Enqueue(i)
-	}
-	if err := e.Start(); err != nil {
-		t.Fatal(err)
-	}
-	e.SetConfig(&Config{Alt: 0, Extents: []int{6}})
-	deadline := time.Now().Add(2 * time.Second)
-	for e.Suspensions() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if e.Suspensions() == 0 {
-		t.Fatal("legacy mode did not suspend on an extent change")
-	}
-	if e.Resizes() != 0 {
-		t.Fatalf("legacy mode performed %d in-place resizes", e.Resizes())
-	}
-	for i := 50; i < 100; i++ {
-		work.Enqueue(i)
-	}
-	work.Close()
-	if err := e.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if processed.Load() != 100 {
-		t.Fatalf("processed = %d, want 100", processed.Load())
-	}
-}

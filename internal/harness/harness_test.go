@@ -279,22 +279,18 @@ func TestReconfigDipRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 {
+	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Rows: arm, queries/s, dip q/s, settle ms, reconfigs, resizes, suspensions.
-	inPlace, respawn, wql := tab.Rows[0], tab.Rows[1], tab.Rows[2]
-	// The forced toggles are deterministic: six SetConfigs per arm.
-	if inPlace[4] != "6" || respawn[4] != "6" {
-		t.Fatalf("forced arms should see 6 reconfigurations: %v / %v", inPlace, respawn)
+	inPlace, wql := tab.Rows[0], tab.Rows[1]
+	// The forced toggles are deterministic: six SetConfigs.
+	if inPlace[4] != "6" {
+		t.Fatalf("forced arm should see 6 reconfigurations: %v", inPlace)
 	}
 	// In-place arm must never suspend; every toggle lands as resizes.
 	if inPlace[6] != "0" || inPlace[5] == "0" {
 		t.Fatalf("in-place arm: want resizes>0 suspensions=0, got %v", inPlace)
-	}
-	// The respawn baseline pays a suspension per toggle and never resizes.
-	if respawn[5] != "0" || respawn[6] == "0" {
-		t.Fatalf("respawn arm: want resizes=0 suspensions>0, got %v", respawn)
 	}
 	// WQ-Linear only issues root extent changes: suspensions stay flat.
 	if wql[6] != "0" {

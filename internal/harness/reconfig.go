@@ -12,62 +12,47 @@ import (
 	"dope/internal/workload"
 )
 
-// ReconfigDip quantifies what in-place stage resizing buys over the legacy
-// whole-nest respawn: the same ferret batch is subjected to forced extent
-// toggles under both reconfiguration policies, and the experiment reports
-// the windowed-throughput dip across each change, the settle latency until
-// the per-stage worker gauge reaches its new target, and the
-// suspension/resize counter split. A third arm runs the transcode server
-// under WQ-Linear — an extent-only mechanism — to show reconfigurations and
-// resizes climbing while the suspension count stays flat.
+// ReconfigDip measures what an in-place stage resize costs a running
+// program: a ferret batch is subjected to forced extent toggles, and the
+// experiment reports the windowed-throughput dip across each change, the
+// settle latency until the per-stage worker gauge reaches its new target,
+// and the suspension/resize counter split. A second arm runs the transcode
+// server under WQ-Linear — an extent-only mechanism — to show
+// reconfigurations and resizes climbing while the suspension count stays
+// flat. (EXPERIMENTS.md keeps the frozen comparison against the deleted
+// whole-nest respawn protocol.)
 func ReconfigDip() (*Table, error) {
 	t := &Table{
 		ID:     "reconfig-dip",
-		Title:  "REAL RUNTIME: reconfiguration cost, in-place resize vs whole-nest respawn",
+		Title:  "REAL RUNTIME: reconfiguration cost of in-place stage resizes",
 		Header: []string{"arm", "queries/s", "dip q/s", "settle ms", "reconfigs", "resizes", "suspensions"},
 		Notes: []string{
-			"forced extent toggles on a running ferret batch: in-place resizing keeps the other stages flowing, so it settles faster and dips less than suspend/drain/respawn",
+			"forced extent toggles on a running ferret batch: in-place resizing keeps the other stages flowing, with no suspension",
 			"WQ-Linear arm: an extent-only mechanism climbs reconfigs/resizes while suspensions stay flat",
 		},
 	}
-	for _, arm := range []struct {
-		name    string
-		respawn bool
-	}{
-		{"in-place", false},
-		{"respawn", true},
-	} {
-		row, err := reconfigDipArm(arm.name, arm.respawn)
+	for _, arm := range []func() ([]string, error){reconfigDipArm, reconfigWQLinearArm} {
+		row, err := arm()
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	row, err := reconfigWQLinearArm()
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, row)
 	return t, nil
 }
 
-// reconfigDipArm runs one forced-toggle arm: a ferret batch whose segment…rank
+// reconfigDipArm runs the forced-toggle arm: a ferret batch whose segment…rank
 // extents are flipped between narrow and wide while the batch flows.
-func reconfigDipArm(name string, respawn bool) ([]string, error) {
+func reconfigDipArm() ([]string, error) {
 	const nReq = 400
 	narrow := []int{1, 2, 2, 2, 2, 1}
 	wide := []int{1, 6, 6, 6, 6, 1}
 
 	s := apps.NewServer(nil)
 	spec := apps.NewFerret(s, apps.FerretParams{UnitsBase: 120})
-	opts := []core.Option{
+	e, err := core.New(spec,
 		core.WithContexts(liveContexts),
-		core.WithInitialConfig(&core.Config{Alt: 0, Extents: narrow}),
-	}
-	if respawn {
-		opts = append(opts, core.WithWholeNestRespawn())
-	}
-	e, err := core.New(spec, opts...)
+		core.WithInitialConfig(&core.Config{Alt: 0, Extents: narrow}))
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +136,7 @@ func reconfigDipArm(name string, respawn bool) ([]string, error) {
 		settleCell = ms(settleSum.Seconds() / float64(settles))
 	}
 	return []string{
-		name, f1(s.Meter.Overall()), dipCell, settleCell,
+		"in-place", f1(s.Meter.Overall()), dipCell, settleCell,
 		fmt.Sprint(e.Reconfigurations()), fmt.Sprint(e.Resizes()), fmt.Sprint(e.Suspensions()),
 	}, nil
 }

@@ -64,10 +64,6 @@ type PipelineConfig struct {
 	// of every stage that the suspend→drain→respawn protocol pays on top of
 	// the drain barrier itself. Default 0.
 	DrainCost float64
-	// RespawnOnResize makes extent-only changes pay the drain barrier and
-	// DrainCost too, mirroring core.WithWholeNestRespawn — the A/B baseline
-	// for what in-place resizing saves.
-	RespawnOnResize bool
 }
 
 func (c *PipelineConfig) defaults(nStages int) {
@@ -114,8 +110,7 @@ type PipelineResult struct {
 	P95Response  float64
 	// Reconfigurations counts applied configuration changes; Resizes the
 	// subset realized as in-place extent changes and Drains the subset that
-	// paid the full drain barrier (alternative switches, or every root
-	// change when RespawnOnResize is set).
+	// paid the full drain barrier (alternative switches).
 	Reconfigurations int
 	Resizes          int
 	Drains           int
@@ -514,9 +509,8 @@ func (s *pipeSim) freeze(d float64) {
 
 // control synthesizes a report and applies the mechanism's decision with
 // the real executive's cost structure: extent-only changes resize in place
-// (service keeps flowing, modulo ResizeCost) while alternative switches —
-// and, under RespawnOnResize, every root change — pay the drain barrier in
-// pump plus DrainCost.
+// (service keeps flowing, modulo ResizeCost) while alternative switches pay
+// the drain barrier in pump plus DrainCost.
 func (s *pipeSim) control() {
 	rep := s.report()
 	newCfg := s.cfg.Mechanism.Reconfigure(rep)
@@ -527,7 +521,7 @@ func (s *pipeSim) control() {
 	switch {
 	case s.pending != nil:
 		// A switch is already in flight; update its target.
-		if newCfg.Alt == s.alt && s.pending.alt == s.alt && !s.cfg.RespawnOnResize {
+		if newCfg.Alt == s.alt && s.pending.alt == s.alt {
 			s.pending = nil
 			s.setExtents(newCfg.Alt, newCfg.Extents)
 			s.resizes++
@@ -537,11 +531,6 @@ func (s *pipeSim) control() {
 		}
 		s.reconfs++
 	case newCfg.Alt != s.alt:
-		s.pending = &pendingSwitch{alt: newCfg.Alt, extents: newCfg.Extents}
-		s.reconfs++
-		s.pump()
-	case !equalInts(newCfg.Extents, s.extents) && s.cfg.RespawnOnResize:
-		// Legacy whole-nest respawn: even an extent change drains first.
 		s.pending = &pendingSwitch{alt: newCfg.Alt, extents: newCfg.Extents}
 		s.reconfs++
 		s.pump()

@@ -10,40 +10,27 @@ import (
 //
 // The simulator mirrors the executive's two reconfiguration paths: extent-only
 // changes resize worker groups in place (Resizes, optional ResizeCost freeze)
-// while alternative switches — or every change under RespawnOnResize — pay the
-// drain barrier plus DrainCost (Drains).
+// while alternative switches pay the drain barrier plus DrainCost (Drains).
 
-func TestInPlaceResizeVsRespawn(t *testing.T) {
-	model := Ferret()
-	run := func(cfg PipelineConfig) PipelineResult {
-		cfg.Tasks = 800
-		cfg.ControlEvery = 0.02
-		cfg.Extents = []int{1, 1, 1, 1, 1, 1}
-		return RunPipeline(model, cfg)
+func TestInPlaceResizeVsAltSwitch(t *testing.T) {
+	run := func(disableFusion bool) PipelineResult {
+		return RunPipeline(Ferret(), PipelineConfig{
+			Tasks: 800, ControlEvery: 0.02,
+			Extents:    []int{1, 1, 1, 1, 1, 1},
+			Mechanism:  &mechanism.TBF{Threads: 24, DisableFusion: disableFusion},
+			ResizeCost: 0.002, DrainCost: 0.05,
+		})
 	}
-	inPlace := run(PipelineConfig{
-		Mechanism:  &mechanism.TBF{Threads: 24, DisableFusion: true},
-		ResizeCost: 0.002, DrainCost: 0.05,
-	})
+	inPlace := run(true)
 	if inPlace.Resizes == 0 {
 		t.Fatal("extent-only mechanism produced no in-place resizes")
 	}
 	if inPlace.Drains != 0 {
 		t.Fatalf("extent-only changes must not drain, got %d drains", inPlace.Drains)
 	}
-	respawn := run(PipelineConfig{
-		Mechanism:  &mechanism.TBF{Threads: 24, DisableFusion: true},
-		ResizeCost: 0.002, DrainCost: 0.05, RespawnOnResize: true,
-	})
-	if respawn.Reconfigurations == 0 || respawn.Drains == 0 {
-		t.Fatalf("RespawnOnResize arm never drained: %+v", respawn)
-	}
-	if respawn.Resizes != 0 {
-		t.Fatalf("RespawnOnResize must route every change through the drain path, got %d resizes", respawn.Resizes)
-	}
-	if respawn.Throughput >= inPlace.Throughput {
-		t.Fatalf("whole-nest respawn should cost throughput: respawn %.1f >= in-place %.1f",
-			respawn.Throughput, inPlace.Throughput)
+	fusing := run(false)
+	if fusing.FinalAlt == 0 || fusing.Drains == 0 {
+		t.Fatalf("TBF's switch to the fused alternative must pay the drain barrier: %+v", fusing)
 	}
 }
 
