@@ -5,7 +5,9 @@
 //
 // Endpoints (JSON):
 //
-//	GET  /report     the current monitoring snapshot (replay.Entry shape)
+//	GET  /report     the current monitoring snapshot: a replay.Entry, i.e.
+//	                 one line of the JSONL log (core's report types inside
+//	                 the envelope)
 //	GET  /config     the active parallelism configuration
 //	PUT  /config     install a configuration (normalized; extent changes
 //	                 resize stages in place, alternative switches suspend)
@@ -96,7 +98,7 @@ func serveSeries(w http.ResponseWriter, r *http.Request, col *metrics.Collector)
 		}
 		since = v
 	}
-	writeJSON(w, col.Snapshot(since))
+	writeJSON(w, http.StatusOK, col.Snapshot(since))
 }
 
 // NewServer wraps the admin handler in an http.Server with read/write
@@ -128,7 +130,7 @@ func (h *adminState) index(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"endpoints": []string{
 			"GET /report", "GET /config", "PUT /config",
 			"GET /mechanism", "PUT /mechanism", "GET /stats",
@@ -138,13 +140,18 @@ func (h *adminState) index(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+// writeJSON is the one response writer: v indented, under the given status.
+// The body is encoded before the status is committed, so a value that cannot
+// be marshalled still answers 500 rather than a truncated success.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func (h *adminState) report(w http.ResponseWriter, r *http.Request) {
@@ -152,13 +159,13 @@ func (h *adminState) report(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, replay.Encode(h.exec.Report()))
+	writeJSON(w, http.StatusOK, replay.Encode(h.exec.Report()))
 }
 
 func (h *adminState) config(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, h.exec.CurrentConfig())
+		writeJSON(w, http.StatusOK, h.exec.CurrentConfig())
 	case http.MethodPut, http.MethodPost:
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		if err != nil {
@@ -171,7 +178,7 @@ func (h *adminState) config(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		h.exec.SetConfig(cfg)
-		writeJSON(w, h.exec.CurrentConfig())
+		writeJSON(w, http.StatusOK, h.exec.CurrentConfig())
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -187,10 +194,10 @@ func (h *adminState) mechanism(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		m := h.exec.Mechanism()
 		if m == nil {
-			writeJSON(w, map[string]any{"name": nil, "available": h.names()})
+			writeJSON(w, http.StatusOK, map[string]any{"name": nil, "available": h.names()})
 			return
 		}
-		writeJSON(w, map[string]any{"name": m.Name(), "available": h.names()})
+		writeJSON(w, http.StatusOK, map[string]any{"name": m.Name(), "available": h.names()})
 	case http.MethodPut, http.MethodPost:
 		var body mechanismBody
 		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&body); err != nil {
@@ -199,7 +206,7 @@ func (h *adminState) mechanism(w http.ResponseWriter, r *http.Request) {
 		}
 		if body.Name == "static" || body.Name == "" {
 			h.exec.SetMechanism(nil)
-			writeJSON(w, map[string]any{"name": nil})
+			writeJSON(w, http.StatusOK, map[string]any{"name": nil})
 			return
 		}
 		factory, ok := h.mechs[body.Name]
@@ -210,7 +217,7 @@ func (h *adminState) mechanism(w http.ResponseWriter, r *http.Request) {
 		}
 		m := factory()
 		h.exec.SetMechanism(m)
-		writeJSON(w, map[string]any{"name": m.Name()})
+		writeJSON(w, http.StatusOK, map[string]any{"name": m.Name()})
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -244,7 +251,7 @@ func (h *adminState) stats(w http.ResponseWriter, r *http.Request) {
 			Rate: sr.Rate, Extent: sr.Extent, Workers: sr.Workers,
 		})
 	})
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"uptimeSec":        h.exec.Uptime().Seconds(),
 		"reconfigurations": h.exec.Reconfigurations(),
 		"suspensions":      h.exec.Suspensions(),
@@ -303,7 +310,7 @@ func (h *adminState) whatif(w http.ResponseWriter, r *http.Request) {
 	if rep.Root != nil {
 		root = rep.Root.Path
 	}
-	writeJSON(w, map[string]any{"root": root, "nests": nests})
+	writeJSON(w, http.StatusOK, map[string]any{"root": root, "nests": nests})
 }
 
 // walkStages visits every stage report in the nest tree.
@@ -363,11 +370,7 @@ func (h *adminState) healthz(w http.ResponseWriter, r *http.Request) {
 		// body keeps the headline and leaves the dump to GET /report logs.
 		failure, _, _ = strings.Cut(err.Error(), "\n")
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(map[string]any{
+	writeJSON(w, code, map[string]any{
 		"status":     status,
 		"error":      failure,
 		"taskStalls": h.exec.TaskStalls(),

@@ -1,7 +1,6 @@
 package admin
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -21,8 +20,8 @@ import (
 //	GET /tenants                 per-tenant status map keyed by tenant name
 //	                             (state, quota, used, shed, rejected, watts)
 //	ANY /tenants/<name>/<sub>    the single-tenant admin surface (report,
-//	                             config, mechanism, stats, whatif, healthz)
-//	                             of the named tenant's executive
+//	                             config, mechanism, stats, series, whatif,
+//	                             healthz) of the named tenant's executive
 //	GET /stats                   machine counters: shared pool occupancy,
 //	                             admission rejections, arbitration churn
 //	                             (grants/revokes), per-tenant roll-up
@@ -74,10 +73,11 @@ func (h *multiState) index(w http.ResponseWriter, r *http.Request) {
 	for _, st := range h.arb.Tenants() {
 		names = append(names, st.Name)
 	}
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"endpoints": []string{
 			"GET /tenants", "ANY /tenants/<name>/<endpoint>",
-			"GET /stats", "GET /healthz",
+			"GET /stats", "GET /series", "GET /tenants/<name>/series",
+			"GET /healthz",
 		},
 		"tenants": names,
 	})
@@ -93,7 +93,7 @@ func (h *multiState) tenants(w http.ResponseWriter, r *http.Request) {
 	for _, st := range h.arb.Tenants() {
 		rows[st.Name] = st
 	}
-	writeJSON(w, rows)
+	writeJSON(w, http.StatusOK, rows)
 }
 
 // tenant routes /tenants/<name>/<sub> to the named tenant's single-tenant
@@ -132,7 +132,7 @@ func (h *multiState) stats(w http.ResponseWriter, r *http.Request) {
 		grants += st.Grants
 		revokes += st.Revokes
 	}
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"contexts":         pool.N(),
 		"busyContexts":     pool.Busy(),
 		"peakContexts":     pool.Peak(),
@@ -193,20 +193,10 @@ func (h *multiState) healthz(w http.ResponseWriter, r *http.Request) {
 	case healthy < len(sts):
 		status = "degraded"
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	writeJSONBody(w, map[string]any{
+	writeJSON(w, code, map[string]any{
 		"status":  status,
 		"healthy": healthy,
 		"total":   len(sts),
 		"tenants": rows,
 	})
-}
-
-// writeJSONBody encodes after the status code is already committed (writeJSON
-// would reset it on error).
-func writeJSONBody(w http.ResponseWriter, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -423,9 +423,11 @@ func TestNativeWorkToggle(t *testing.T) {
 
 func TestDedupDuplicateSkippingSavesWork(t *testing.T) {
 	// With DupPeriod=1 every chunk shares one of 4 hot contents, so all
-	// compression after the first few unique chunks is skipped; the run
-	// must finish much faster than with unique chunks everywhere.
-	run := func(dupPeriod int) time.Duration {
+	// compression after the first few unique chunks is skipped. The saving is
+	// read off the executive's own measurement of the compress stage — the
+	// time its workers spent between Begin and End — not off the run's wall
+	// clock, which on a loaded 2-CPU host says more about the scheduler.
+	compressSeconds := func(dupPeriod int) float64 {
 		s := NewServer(nil)
 		spec := NewDedup(s, DedupParams{
 			ChunksPerItem: 8, UnitsPerChunk: 3000, DupPeriod: dupPeriod,
@@ -440,18 +442,23 @@ func TestDedupDuplicateSkippingSavesWork(t *testing.T) {
 			s.Submit(1.0)
 		}
 		s.Close()
-		start := time.Now()
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 		if got := s.Resp.Count(); got != n {
 			t.Fatalf("completed = %d", got)
 		}
-		return time.Since(start)
+		st := e.Report().Root.Stage("compress")
+		if st.Iterations != n*8 {
+			t.Fatalf("compress saw %d chunks, want %d", st.Iterations, n*8)
+		}
+		return st.MeanExecTime * float64(st.Iterations)
 	}
-	mostlyUnique := run(1000000) // DupPeriod so large only i=0 chunks repeat
-	allHot := run(1)
-	if float64(allHot) >= 0.9*float64(mostlyUnique) {
-		t.Fatalf("dedup hits should save time: hot=%v unique=%v", allHot, mostlyUnique)
+	mostlyUnique := compressSeconds(1000000) // DupPeriod so large only i=0 chunks repeat
+	allHot := compressSeconds(1)
+	// 4 of 96 chunks are compressed in the hot run against 85 of 96; a
+	// quarter leaves room for any amount of per-section overhead.
+	if allHot >= 0.25*mostlyUnique {
+		t.Fatalf("dedup hits should skip compression: hot=%.4fs unique=%.4fs in the compress stage", allHot, mostlyUnique)
 	}
 }

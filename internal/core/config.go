@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,14 +12,32 @@ import (
 // configurations of nested loops (keyed by nested nest name). This is the
 // value mechanisms compute and the executive applies — the paper's
 // "parallelism configuration" <DoP_outer, DoP_inner>.
+//
+// Configs cross process boundaries (administration endpoints, the JSONL
+// observation log, persisted tuning results); the JSON tags are that wire
+// format.
 type Config struct {
 	// Alt is the index of the chosen alternative.
-	Alt int
+	Alt int `json:"alt"`
 	// Extents is the DoP extent per stage of the chosen alternative,
 	// index-aligned with AltSpec.Stages.
-	Extents []int
+	Extents []int `json:"extents"`
 	// Children maps nested nest names to their configurations.
-	Children map[string]*Config
+	Children map[string]*Config `json:"children,omitempty"`
+}
+
+// ParseConfig decodes a JSON configuration, e.g.
+//
+//	{"alt":0,"extents":[3],"children":{"video":{"alt":0,"extents":[1,6,1]}}}
+//
+// No normalization is applied; pass the result through Normalize (or
+// Exec.SetConfig, which normalizes) before use.
+func ParseConfig(data []byte) (*Config, error) {
+	var c Config
+	if err := json.Unmarshal(data, &c); err != nil {
+		return nil, fmt.Errorf("core: config: %w", err)
+	}
+	return &c, nil
 }
 
 // DefaultConfig returns the configuration the executive starts from when no

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -132,7 +133,7 @@ func TestConfigJSONProperty(t *testing.T) {
 		}
 		_ = alt
 		cfg.Normalize(spec)
-		data, err := cfg.MarshalJSON()
+		data, err := json.Marshal(cfg)
 		if err != nil {
 			return false
 		}

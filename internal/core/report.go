@@ -10,89 +10,130 @@ import (
 
 // StageReport is the monitored view of one stage, aggregated across all its
 // instances (the paper's DoPE::getExecTime and DoPE::getLoad query results).
+//
+// StageReport, NestReport and Config are the observation schema: the JSON
+// tags are the wire format of the JSONL log (package replay) and of the admin
+// console's GET /report, and every consumer — mechanisms, the metrics
+// collector, dope-top — reads these types directly. Adding a counter is one
+// field here (plus its monitor.StageSnapshot source); reflection tests in this
+// package and in replay fail if a hop drops it.
 type StageReport struct {
 	// Name, Type, MinDoP, MaxDoP echo the stage's spec.
-	Name   string
-	Type   TaskType
-	MinDoP int
-	MaxDoP int
+	Name   string   `json:"name"`
+	Type   TaskType `json:"par"`
+	MinDoP int      `json:"minDoP,omitempty"`
+	MaxDoP int      `json:"maxDoP,omitempty"`
 	// HasNest reports whether the stage delegates to a nested loop.
-	HasNest bool
+	HasNest bool `json:"hasNest,omitempty"`
 	// Extent is the configured DoP extent.
-	Extent int
+	Extent int `json:"extent"`
 	// ExecTime is the smoothed per-iteration CPU time in seconds.
-	ExecTime float64
+	ExecTime float64 `json:"execTime"`
 	// MeanExecTime is the lifetime mean per-iteration CPU time in seconds.
-	MeanExecTime float64
+	MeanExecTime float64 `json:"meanExecTime"`
 	// Rate is the smoothed iteration completion rate (iterations/second,
 	// summed over concurrent instances) — the throughput signal §7.2's
 	// mechanisms balance.
-	Rate float64
+	Rate float64 `json:"rate"`
 	// Load is the summed value of the stage's live LoadCBs (typically
 	// total in-queue occupancy) and LoadInstances how many instances
 	// reported.
-	Load          float64
-	LoadInstances int
+	Load          float64 `json:"load"`
+	LoadInstances int     `json:"loadInstances"`
 	// Iterations and Completed count loop-body executions and finished
 	// instances.
-	Iterations uint64
-	Completed  uint64
+	Iterations uint64 `json:"iterations"`
+	Completed  uint64 `json:"completed"`
 	// Workers is the live worker-slot gauge. During an in-place resize it
 	// briefly diverges from Extent: retiring slots finish their current
 	// iteration, fresh slots are still warming up. Mechanisms normalizing
 	// Rate or Load per worker should divide by Workers, not Extent.
-	Workers int
+	Workers int `json:"workers,omitempty"`
+	// QueueSojourn is the smoothed wait an item spends in the stage's
+	// in-queue before this stage dequeues it, in seconds (mean over live
+	// instances reporting a sojourn gauge; zero when none do). Shed items
+	// are excluded — see queue.Queue.MeanSojourn.
+	QueueSojourn float64 `json:"sojourn,omitempty"`
+	// Observed reports that the stage has completed at least one iteration
+	// since its stats were last reset, i.e. that ExecTime, MeanExecTime and
+	// Rate reflect measurements rather than zero-valued defaults. The
+	// what-if profiler refuses to extrapolate from unobserved stages.
+	Observed bool `json:"observed,omitempty"`
 	// Spawned and Retired count worker slots ever started and slots that
 	// exited because a shrink retired them; Resizes counts in-place extent
 	// changes the stage has absorbed without suspending the nest.
-	Spawned uint64
-	Retired uint64
-	Resizes uint64
+	Spawned uint64 `json:"spawned,omitempty"`
+	Retired uint64 `json:"retired,omitempty"`
+	Resizes uint64 `json:"resizes,omitempty"`
 	// Failures counts functor panics absorbed by the stage under any
 	// failure policy; ConsecutiveFailures is the failure streak since the
 	// stage last completed an iteration — a persistently failing stage
 	// shows it climbing, so mechanisms can steer work away before the
 	// budget escalates it to FailStop.
-	Failures            uint64
-	ConsecutiveFailures int
+	Failures            uint64 `json:"failures,omitempty"`
+	ConsecutiveFailures int    `json:"consecFailures,omitempty"`
 	// Stalls counts deadline overruns the watchdog detected for the stage;
 	// StallsDuringDrain is the subset detected while the run was draining
 	// for a reconfiguration or Stop. Zombies is the live gauge of abandoned
 	// slots whose goroutines have not exited.
-	Stalls            uint64
-	StallsDuringDrain uint64
-	Zombies           int
+	Stalls            uint64 `json:"stalls,omitempty"`
+	StallsDuringDrain uint64 `json:"stallsDuringDrain,omitempty"`
+	Zombies           int    `json:"zombies,omitempty"`
 	// Shed counts items the stage's in-queue dropped under its overload
 	// policy (cumulative across instances; see queue.OverloadPolicy).
-	Shed uint64
-	// QueueSojourn is the smoothed wait an item spends in the stage's
-	// in-queue before this stage dequeues it, in seconds (mean over live
-	// instances reporting a sojourn gauge; zero when none do). Shed items
-	// are excluded — see queue.Queue.MeanSojourn.
-	QueueSojourn float64
-	// Observed reports that the stage has completed at least one iteration
-	// since its stats were last reset, i.e. that ExecTime, MeanExecTime and
-	// Rate reflect measurements rather than zero-valued defaults. The
-	// what-if profiler refuses to extrapolate from unobserved stages.
-	Observed bool
+	Shed uint64 `json:"shed,omitempty"`
+}
+
+// newStageReport joins a stage's static description, its configured extent
+// and the monitor's snapshot into the stage's observation row.
+func newStageReport(st *StageSpec, extent int, snap monitor.StageSnapshot) StageReport {
+	return StageReport{
+		Name:                st.Name,
+		Type:                st.Type,
+		MinDoP:              st.MinDoP,
+		MaxDoP:              st.MaxDoP,
+		HasNest:             st.Nest != nil,
+		Extent:              st.clampExtent(extent),
+		ExecTime:            snap.ExecTime,
+		MeanExecTime:        snap.MeanExecTime,
+		Rate:                snap.Rate,
+		Load:                snap.Load,
+		LoadInstances:       snap.LoadInstances,
+		Iterations:          snap.Iterations,
+		Completed:           snap.Completed,
+		Workers:             snap.Workers,
+		QueueSojourn:        snap.QueueSojourn,
+		Observed:            snap.Observed,
+		Spawned:             snap.Spawned,
+		Retired:             snap.Retired,
+		Resizes:             snap.Resizes,
+		Failures:            snap.Failures,
+		ConsecutiveFailures: snap.ConsecutiveFailures,
+		Stalls:              snap.Stalls,
+		StallsDuringDrain:   snap.StallsDuringDrain,
+		Zombies:             snap.Zombies,
+		Shed:                snap.Shed,
+	}
 }
 
 // NestReport is the monitored view of one nest under its current
 // configuration.
 type NestReport struct {
 	// Name is the nest's own name; Path the slash-joined path from the root.
-	Name string
-	Path string
-	// Spec is the nest's static description.
-	Spec *NestSpec
+	Name string `json:"name"`
+	Path string `json:"path"`
+	// Spec is the nest's static description. It holds functors, so it is not
+	// part of the wire format; package replay records its structure once per
+	// entry and re-links a structural copy on decode.
+	Spec *NestSpec `json:"-"`
 	// AltIndex and AltName identify the configured alternative.
-	AltIndex int
-	AltName  string
+	AltIndex int    `json:"altIndex"`
+	AltName  string `json:"altName"`
 	// Stages reports the stages of the configured alternative, in order.
-	Stages []StageReport
+	Stages []StageReport `json:"stages"`
 	// Children holds reports for nested loops declared under the
 	// configured alternative, keyed by nest name.
-	Children map[string]*NestReport
+	Children map[string]*NestReport `json:"children,omitempty"`
 }
 
 // Stage returns the report for the named stage, or nil.
@@ -193,37 +234,8 @@ func (e *Exec) nestReport(spec *NestSpec, cfg *Config, path []string) *NestRepor
 	}
 	for i := range alt.Stages {
 		st := &alt.Stages[i]
-		key := monitor.Key{Nest: nestName, Stage: st.Name}
-		ss := e.mon.Stage(key)
-		load, n := e.mon.Load(key)
-		sojourn, _ := e.mon.Sojourn(key)
-		nr.Stages = append(nr.Stages, StageReport{
-			Name:          st.Name,
-			Type:          st.Type,
-			MinDoP:        st.MinDoP,
-			MaxDoP:        st.MaxDoP,
-			HasNest:       st.Nest != nil,
-			Extent:        st.clampExtent(cfg.Extent(i)),
-			ExecTime:      ss.ExecTime(),
-			MeanExecTime:  ss.MeanExecTime(),
-			Rate:          ss.Rate(),
-			Load:          load,
-			LoadInstances: n,
-			Iterations:    ss.Iterations(),
-			Completed:     ss.Completed(),
-			Workers:             ss.Workers(),
-			Spawned:             ss.Spawned(),
-			Retired:             ss.Retired(),
-			Resizes:             ss.Resizes(),
-			Failures:            ss.Failures(),
-			ConsecutiveFailures: ss.ConsecutiveFailures(),
-			Stalls:              ss.Stalls(),
-			StallsDuringDrain:   ss.StallsDuringDrain(),
-			Zombies:             ss.Zombies(),
-			Shed:                e.mon.Shed(key),
-			QueueSojourn:        sojourn,
-			Observed:            ss.Observed(),
-		})
+		snap := e.mon.Snapshot(monitor.Key{Nest: nestName, Stage: st.Name})
+		nr.Stages = append(nr.Stages, newStageReport(st, cfg.Extent(i), snap))
 		if st.Nest != nil {
 			if nr.Children == nil {
 				nr.Children = make(map[string]*NestReport)

@@ -31,6 +31,11 @@
 //     and are respawned under the new configuration.
 package core
 
+import (
+	"encoding/json"
+	"strconv"
+)
+
 // Status is the state a task reports after each iteration of its loop body
 // (the paper's TaskStatus).
 type Status int
@@ -79,4 +84,23 @@ func (t TaskType) String() string {
 		return "SEQ"
 	}
 	return "PAR"
+}
+
+// MarshalJSON writes the type as the boolean the observation schema calls
+// "par" (true for PAR).
+func (t TaskType) MarshalJSON() ([]byte, error) {
+	return strconv.AppendBool(nil, t == PAR), nil
+}
+
+// UnmarshalJSON reads the "par" boolean back.
+func (t *TaskType) UnmarshalJSON(data []byte) error {
+	var par bool
+	if err := json.Unmarshal(data, &par); err != nil {
+		return err
+	}
+	*t = SEQ
+	if par {
+		*t = PAR
+	}
+	return nil
 }

@@ -29,22 +29,27 @@ type DecisionEntry struct {
 	Detail    string  `json:"detail,omitempty"`
 }
 
-// TenantSample is one tenant's arbitration state at a sample instant. The
-// tenancy layer adapts its own status type into this neutral shape so the
-// metrics package stays import-cycle-free (tenancy imports metrics, never
-// the reverse).
+// TenantSample is one tenant's arbitration state at a sample instant — the
+// one tenant row: the arbiter builds it (tenancy.TenantStatus is this type),
+// GET /tenants and the /series snapshot serve it, dope-top renders it. It
+// lives here because tenancy imports metrics, never the reverse.
 type TenantSample struct {
-	Name     string  `json:"name"`
-	State    string  `json:"state"`
-	Priority int     `json:"priority"`
-	Weight   float64 `json:"weight"`
-	Quota    int     `json:"quota"`
-	Used     int     `json:"used"`
-	Watts    float64 `json:"watts"`
-	Shed     uint64  `json:"shed"`
-	Rejected uint64  `json:"rejected"`
-	Grants   uint64  `json:"grants"`
-	Revokes  uint64  `json:"revokes"`
+	Name      string  `json:"name"`
+	State     string  `json:"state"`
+	Priority  int     `json:"priority"`
+	Weight    float64 `json:"weight"`
+	Quota     int     `json:"quota"`
+	Used      int     `json:"used"`
+	OverQuota int     `json:"overQuota"`
+	Peak      int     `json:"peak"`
+	Blocked   int     `json:"blocked"`
+	Acquires  uint64  `json:"acquires"`
+	Watts     float64 `json:"watts"`
+	Shed      uint64  `json:"shed"`
+	Rejected  uint64  `json:"rejected"`
+	Grants    uint64  `json:"grants"`
+	Revokes   uint64  `json:"revokes"`
+	Err       string  `json:"err,omitempty"`
 }
 
 // Snapshot is the windowed view the /series endpoint serves. Cursor is the

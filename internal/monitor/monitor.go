@@ -358,22 +358,6 @@ func (s *StageStats) ObserveFailure() int {
 	return s.consecFail
 }
 
-// Failures returns how many functor panics the stage has absorbed.
-func (s *StageStats) Failures() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failures
-}
-
-// ConsecutiveFailures returns the failure streak since the stage last
-// completed an iteration.
-func (s *StageStats) ConsecutiveFailures() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.foldLocked()
-	return s.consecFail
-}
-
 // ObserveStall records one deadline overrun detected by the watchdog;
 // duringDrain says whether the run was draining for a reconfiguration or
 // Stop when the stall was detected.
@@ -425,28 +409,6 @@ func (s *StageStats) ObserveZombieExit() {
 	s.mu.Unlock()
 }
 
-// Stalls returns how many deadline overruns the watchdog has detected.
-func (s *StageStats) Stalls() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stalls
-}
-
-// StallsDuringDrain returns how many of the stage's stalls were detected
-// while the run was draining.
-func (s *StageStats) StallsDuringDrain() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stallsDrain
-}
-
-// Zombies returns the live count of abandoned-but-not-yet-exited slots.
-func (s *StageStats) Zombies() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.zombies
-}
-
 // addShedPast folds the final shed total of a retired queue instance into
 // the durable aggregate.
 func (s *StageStats) addShedPast(n uint64) {
@@ -468,87 +430,86 @@ func (s *StageStats) ObserveResize() {
 	s.mu.Unlock()
 }
 
-// Workers returns the live worker-slot gauge.
-func (s *StageStats) Workers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.workers
+// StageSnapshot is everything the monitor knows about one stage at one
+// instant — the single value that crosses from the monitor to core's
+// StageReport. StageStats.Snapshot fills the durable aggregate (one mutex
+// acquisition, one fold); Registry.Snapshot adds the gauges polled from the
+// stage's live instances. Field names match core.StageReport's, which a
+// reflection test over that hop relies on: a counter added here and not
+// carried into the report fails it.
+type StageSnapshot struct {
+	// ExecTime is the smoothed and MeanExecTime the lifetime mean
+	// per-iteration CPU time, in seconds; Rate the smoothed completion rate
+	// (iterations/sec, summed over concurrent instances).
+	ExecTime     float64
+	MeanExecTime float64
+	Rate         float64
+	// Observed reports that at least one completed iteration has been
+	// folded — the readiness sentinel consumers check before trusting
+	// ExecTime, MeanExecTime and Rate, which are all 0 until then (and a
+	// zero service time reads as an infinitely fast stage to the what-if
+	// profiler).
+	Observed bool
+	// Iterations and Completed count loop-body executions and finished
+	// stage instances.
+	Iterations uint64
+	Completed  uint64
+	// Workers is the live worker-slot gauge; Spawned, Retired and Resizes
+	// count slots ever started, slots retired by shrinks, and in-place
+	// extent changes.
+	Workers int
+	Spawned uint64
+	Retired uint64
+	Resizes uint64
+	// Failures counts absorbed functor panics; ConsecutiveFailures is the
+	// streak since the stage last completed an iteration.
+	Failures            uint64
+	ConsecutiveFailures int
+	// Stalls counts deadline overruns (StallsDuringDrain the subset seen
+	// while draining); Zombies is the live gauge of abandoned slots whose
+	// goroutines have not exited.
+	Stalls            uint64
+	StallsDuringDrain uint64
+	Zombies           int
+	// Shed is the cumulative count of items the stage's in-queues dropped:
+	// retired instances' totals, plus the live counters when taken through
+	// Registry.Snapshot.
+	Shed uint64
+	// Load is the sum of the live LoadCBs and LoadInstances how many
+	// reported; QueueSojourn the mean of the live sojourn gauges in seconds
+	// (zero when none report). Filled by Registry.Snapshot only.
+	Load          float64
+	LoadInstances int
+	QueueSojourn  float64
 }
 
-// Spawned returns how many worker slots have ever started.
-func (s *StageStats) Spawned() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.spawned
-}
-
-// Retired returns how many worker slots were retired by shrinks.
-func (s *StageStats) Retired() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retired
-}
-
-// Resizes returns how many in-place extent changes the stage has absorbed.
-func (s *StageStats) Resizes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resizes
-}
-
-// ExecTime returns the smoothed per-iteration CPU time in seconds.
-func (s *StageStats) ExecTime() float64 {
+// Snapshot folds any per-slot accumulation and returns the stage's durable
+// aggregate under one acquisition of the stage mutex.
+func (s *StageStats) Snapshot() StageSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.foldLocked()
-	return s.execTime.Value()
-}
-
-// MeanExecTime returns the lifetime mean per-iteration CPU time in seconds.
-func (s *StageStats) MeanExecTime() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.foldLocked()
-	if s.iterations == 0 {
-		return 0
+	snap := StageSnapshot{
+		ExecTime:            s.execTime.Value(),
+		Rate:                s.rate.Value(),
+		Observed:            s.iterations > 0,
+		Iterations:          s.iterations,
+		Completed:           s.completed,
+		Workers:             s.workers,
+		Spawned:             s.spawned,
+		Retired:             s.retired,
+		Resizes:             s.resizes,
+		Failures:            s.failures,
+		ConsecutiveFailures: s.consecFail,
+		Stalls:              s.stalls,
+		StallsDuringDrain:   s.stallsDrain,
+		Zombies:             s.zombies,
+		Shed:                s.shedPast,
 	}
-	return s.execSum / float64(s.iterations)
-}
-
-// Rate returns the smoothed iteration completion rate (iterations/sec,
-// summed over all concurrent instances of the stage).
-func (s *StageStats) Rate() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.foldLocked()
-	return s.rate.Value()
-}
-
-// Observed reports whether the stage has folded at least one completed
-// iteration — the readiness sentinel consumers of Rate()/MeanExecTime()
-// check before trusting the numbers. Before the first completion both
-// getters return 0, which the what-if profiler would otherwise read as an
-// infinitely fast stage.
-func (s *StageStats) Observed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.foldLocked()
-	return s.iterations > 0
-}
-
-// Iterations returns the total number of observed iterations.
-func (s *StageStats) Iterations() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.foldLocked()
-	return s.iterations
-}
-
-// Completed returns how many stage instances have finished.
-func (s *StageStats) Completed() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.completed
+	if s.iterations > 0 {
+		snap.MeanExecTime = s.execSum / float64(s.iterations)
+	}
+	return snap
 }
 
 // Fold drains any per-slot accumulation into the durable aggregate. The
@@ -587,6 +548,10 @@ func NewRegistry(alpha float64) *Registry {
 func (r *Registry) Stage(key Key) *StageStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.stageLocked(key)
+}
+
+func (r *Registry) stageLocked(key Key) *StageStats {
 	s, ok := r.stages[key]
 	if !ok {
 		s = newStageStats(r.alpha)
@@ -697,55 +662,56 @@ func (r *Registry) RegisterSojourn(key Key, cb func() float64) (release func()) 
 	}
 }
 
-// Sojourn polls all live sojourn gauges for key and returns their mean (the
-// stage's smoothed in-queue wait in seconds) and how many instances
-// reported.
-func (r *Registry) Sojourn(key Key) (mean float64, instances int) {
+// callbacks copies one key's live registrations so they can be invoked
+// after r.mu is released: they take queue locks of their own.
+func callbacks[F any](m map[int64]F) []F {
+	out := make([]F, 0, len(m))
+	for _, cb := range m {
+		out = append(out, cb)
+	}
+	return out
+}
+
+// Snapshot returns the complete observation of one stage: the durable
+// aggregate plus the load, shed and sojourn gauges polled from its live
+// instances. One acquisition of the registry mutex and one of the stage's.
+func (r *Registry) Snapshot(key Key) StageSnapshot {
 	r.mu.Lock()
-	cbs := make([]func() float64, 0, 4)
-	for _, cb := range r.sojourns[key] {
-		cbs = append(cbs, cb)
-	}
+	s := r.stageLocked(key)
+	loads := callbacks(r.loads[key])
+	sheds := callbacks(r.sheds[key])
+	sojourns := callbacks(r.sojourns[key])
 	r.mu.Unlock()
-	var total float64
-	for _, cb := range cbs {
-		total += cb()
+	snap := s.Snapshot()
+	for _, cb := range loads {
+		snap.Load += cb()
 	}
-	if len(cbs) == 0 {
-		return 0, 0
+	snap.LoadInstances = len(loads)
+	for _, cb := range sheds {
+		snap.Shed += cb()
 	}
-	return total / float64(len(cbs)), len(cbs)
+	for _, cb := range sojourns {
+		snap.QueueSojourn += cb()
+	}
+	if n := len(sojourns); n > 0 {
+		snap.QueueSojourn /= float64(n)
+	}
+	return snap
 }
 
 // Shed returns the stage's cumulative shed-item count: retired instances'
-// totals plus the live counters.
+// totals plus the live counters. It is Snapshot(key).Shed without the fold
+// and the other gauges, for the watchdog's per-patrol delta scan.
 func (r *Registry) Shed(key Key) uint64 {
 	r.mu.Lock()
-	cbs := make([]func() uint64, 0, 4)
-	for _, cb := range r.sheds[key] {
-		cbs = append(cbs, cb)
-	}
+	s := r.stageLocked(key)
+	sheds := callbacks(r.sheds[key])
 	r.mu.Unlock()
-	total := r.Stage(key).shedPastTotal()
-	for _, cb := range cbs {
+	total := s.shedPastTotal()
+	for _, cb := range sheds {
 		total += cb()
 	}
 	return total
-}
-
-// Load polls all live LoadCBs for key and returns their sum (total items
-// waiting for the stage) and how many instances reported.
-func (r *Registry) Load(key Key) (total float64, instances int) {
-	r.mu.Lock()
-	cbs := make([]func() float64, 0, 4)
-	for _, cb := range r.loads[key] {
-		cbs = append(cbs, cb)
-	}
-	r.mu.Unlock()
-	for _, cb := range cbs {
-		total += cb()
-	}
-	return total, len(cbs)
 }
 
 // Keys returns all stage keys ever observed, in unspecified order.

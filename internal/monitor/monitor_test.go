@@ -17,17 +17,17 @@ func TestStageStatsExecTime(t *testing.T) {
 		s.ObserveIteration(10*time.Millisecond, now)
 		now = now.Add(10 * time.Millisecond)
 	}
-	if got := s.ExecTime(); math.Abs(got-0.010) > 1e-6 {
+	if got := s.Snapshot().ExecTime; math.Abs(got-0.010) > 1e-6 {
 		t.Fatalf("exec time = %v, want 0.010", got)
 	}
-	if got := s.MeanExecTime(); math.Abs(got-0.010) > 1e-9 {
+	if got := s.Snapshot().MeanExecTime; math.Abs(got-0.010) > 1e-9 {
 		t.Fatalf("mean exec time = %v", got)
 	}
-	if s.Iterations() != 20 {
-		t.Fatalf("iterations = %d", s.Iterations())
+	if s.Snapshot().Iterations != 20 {
+		t.Fatalf("iterations = %d", s.Snapshot().Iterations)
 	}
 	// One iteration per 10ms => 100/sec.
-	if got := s.Rate(); math.Abs(got-100) > 1 {
+	if got := s.Snapshot().Rate; math.Abs(got-100) > 1 {
 		t.Fatalf("rate = %v, want ~100", got)
 	}
 }
@@ -50,31 +50,35 @@ func TestInstanceCompletion(t *testing.T) {
 	s := r.Stage(key)
 	s.ObserveInstanceDone()
 	s.ObserveInstanceDone()
-	if s.Completed() != 2 {
-		t.Fatalf("completed = %d", s.Completed())
+	if s.Snapshot().Completed != 2 {
+		t.Fatalf("completed = %d", s.Snapshot().Completed)
 	}
 }
 
 func TestLoadRegistry(t *testing.T) {
 	r := NewRegistry(0.2)
-	total, n := r.Load(key)
+	load := func() (float64, int) {
+		snap := r.Snapshot(key)
+		return snap.Load, snap.LoadInstances
+	}
+	total, n := load()
 	if total != 0 || n != 0 {
 		t.Fatal("no registered loads should report zero")
 	}
 	rel1 := r.RegisterLoad(key, func() float64 { return 3 })
 	rel2 := r.RegisterLoad(key, func() float64 { return 4 })
-	total, n = r.Load(key)
+	total, n = load()
 	if total != 7 || n != 2 {
 		t.Fatalf("load = %v from %d instances", total, n)
 	}
 	rel1()
-	total, n = r.Load(key)
+	total, n = load()
 	if total != 4 || n != 1 {
 		t.Fatalf("after release load = %v from %d", total, n)
 	}
 	rel2()
 	rel2() // double release is harmless
-	if _, n := r.Load(key); n != 0 {
+	if _, n := load(); n != 0 {
 		t.Fatal("all releases should empty the registry")
 	}
 }
@@ -83,7 +87,7 @@ func TestRegisterNilLoad(t *testing.T) {
 	r := NewRegistry(0.2)
 	release := r.RegisterLoad(key, nil)
 	release() // no-op must not panic
-	if _, n := r.Load(key); n != 0 {
+	if n := r.Snapshot(key).LoadInstances; n != 0 {
 		t.Fatal("nil load should not register")
 	}
 }
@@ -112,20 +116,20 @@ func TestRegistryConcurrent(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				r.Stage(k).ObserveIteration(time.Millisecond, time.Unix(int64(j), 0))
 				rel := r.RegisterLoad(k, func() float64 { return 1 })
-				r.Load(k)
+				r.Snapshot(k)
 				rel()
 			}
 		}(i)
 	}
 	wg.Wait()
-	if r.Stage(Key{Nest: "n", Stage: "s"}).Iterations() != 1600 {
-		t.Fatalf("iterations = %d", r.Stage(Key{Nest: "n", Stage: "s"}).Iterations())
+	if r.Stage(Key{Nest: "n", Stage: "s"}).Snapshot().Iterations != 1600 {
+		t.Fatalf("iterations = %d", r.Stage(Key{Nest: "n", Stage: "s"}).Snapshot().Iterations)
 	}
 }
 
 func TestFailureCounters(t *testing.T) {
 	s := newStageStats(0.2)
-	if s.Failures() != 0 || s.ConsecutiveFailures() != 0 {
+	if s.Snapshot().Failures != 0 || s.Snapshot().ConsecutiveFailures != 0 {
 		t.Fatal("fresh stats report failures")
 	}
 	if got := s.ObserveFailure(); got != 1 {
@@ -134,16 +138,16 @@ func TestFailureCounters(t *testing.T) {
 	if got := s.ObserveFailure(); got != 2 {
 		t.Fatalf("second ObserveFailure = %d", got)
 	}
-	if s.Failures() != 2 || s.ConsecutiveFailures() != 2 {
-		t.Fatalf("counters = %d/%d", s.Failures(), s.ConsecutiveFailures())
+	if s.Snapshot().Failures != 2 || s.Snapshot().ConsecutiveFailures != 2 {
+		t.Fatalf("counters = %d/%d", s.Snapshot().Failures, s.Snapshot().ConsecutiveFailures)
 	}
 	// A completed iteration breaks the streak but not the total.
 	s.ObserveIteration(time.Millisecond, time.Unix(1, 0))
-	if s.ConsecutiveFailures() != 0 {
-		t.Fatalf("streak after iteration = %d", s.ConsecutiveFailures())
+	if s.Snapshot().ConsecutiveFailures != 0 {
+		t.Fatalf("streak after iteration = %d", s.Snapshot().ConsecutiveFailures)
 	}
-	if s.Failures() != 2 {
-		t.Fatalf("total after iteration = %d", s.Failures())
+	if s.Snapshot().Failures != 2 {
+		t.Fatalf("total after iteration = %d", s.Snapshot().Failures)
 	}
 	if got := s.ObserveFailure(); got != 1 {
 		t.Fatalf("streak restarts at %d", got)
@@ -177,7 +181,7 @@ func TestRateExcludesIdleWait(t *testing.T) {
 	s.ObserveEnd(end)
 
 	// The gap net of banked idle time is the 10 ms window: ~100/s.
-	if got := s.Rate(); math.Abs(got-100) > 5 {
+	if got := s.Snapshot().Rate; math.Abs(got-100) > 5 {
 		t.Fatalf("rate after idle spell = %v, want ~100", got)
 	}
 }
@@ -213,7 +217,7 @@ func TestRateIdleInterleaved(t *testing.T) {
 	// 10 ms -> 100/s. EWMA(0.5) over 50, 100, 100 settles at 87.5; had the
 	// idle stretch folded in, the last observation would be ~9/s and the
 	// EWMA would collapse below 45.
-	if got := s.Rate(); math.Abs(got-87.5) > 5 {
+	if got := s.Snapshot().Rate; math.Abs(got-87.5) > 5 {
 		t.Fatalf("rate with interleaved windows = %v, want ~87.5", got)
 	}
 }
@@ -232,7 +236,7 @@ func TestRateResetOnIdleStage(t *testing.T) {
 	s.ObserveEnd(t0)
 	s.ObserveWorkerExit(false) // workers 1 -> 0
 
-	rate := s.Rate() // no inter-completion gap observed yet
+	rate := s.Snapshot().Rate // no inter-completion gap observed yet
 
 	// A new instance an hour later: its first completion must not observe
 	// a gap at all.
@@ -241,7 +245,45 @@ func TestRateResetOnIdleStage(t *testing.T) {
 	s.ObserveBegin(later)
 	s.ObserveIteration(10*time.Millisecond, later.Add(10*time.Millisecond))
 	s.ObserveEnd(later.Add(10 * time.Millisecond))
-	if got := s.Rate(); got != rate {
+	if got := s.Snapshot().Rate; got != rate {
 		t.Fatalf("first completion after a worker-less pause moved the rate: %v -> %v", rate, got)
+	}
+}
+
+// TestSnapshotPollsLiveGauges: Registry.Snapshot joins the durable aggregate
+// with the gauges of the stage's live instances — shed is retired totals plus
+// live counters and never goes backwards across a release, sojourn is the
+// mean over reporting instances.
+func TestSnapshotPollsLiveGauges(t *testing.T) {
+	r := NewRegistry(0.2)
+	r.Stage(key).ObserveIteration(10*time.Millisecond, time.Unix(1, 0))
+	relA := r.RegisterShed(key, func() uint64 { return 5 })
+	relB := r.RegisterShed(key, func() uint64 { return 2 })
+	r.RegisterSojourn(key, func() float64 { return 0.010 })
+	relS := r.RegisterSojourn(key, func() float64 { return 0.030 })
+
+	snap := r.Snapshot(key)
+	if snap.Shed != 7 || r.Shed(key) != 7 {
+		t.Fatalf("shed = %d (Shed() %d), want 7", snap.Shed, r.Shed(key))
+	}
+	if math.Abs(snap.QueueSojourn-0.020) > 1e-12 {
+		t.Fatalf("sojourn = %v, want the 20ms mean", snap.QueueSojourn)
+	}
+	if snap.Iterations != 1 || !snap.Observed {
+		t.Fatalf("durable aggregate missing from the snapshot: %+v", snap)
+	}
+
+	relA() // retires 5 into the durable total
+	relS()
+	snap = r.Snapshot(key)
+	if snap.Shed != 7 {
+		t.Fatalf("shed after release = %d, want 7", snap.Shed)
+	}
+	if snap.QueueSojourn != 0.010 {
+		t.Fatalf("sojourn after release = %v, want 0.010", snap.QueueSojourn)
+	}
+	relB()
+	if got := r.Stage(key).Snapshot().Shed; got != 7 {
+		t.Fatalf("stage-level snapshot carries retired shed only: got %d, want 7", got)
 	}
 }

@@ -190,13 +190,13 @@ func TestRateReadyOnFirstFold(t *testing.T) {
 	}
 	// First getter read = first fold. Ten completions over 100 ms of working
 	// time: ~100/s, not 0.
-	if got := s.Rate(); math.Abs(got-100) > 5 {
+	if got := s.Snapshot().Rate; math.Abs(got-100) > 5 {
 		t.Fatalf("first-fold rate = %v, want ~100", got)
 	}
-	if got := s.MeanExecTime(); math.Abs(got-0.010) > 1e-9 {
+	if got := s.Snapshot().MeanExecTime; math.Abs(got-0.010) > 1e-9 {
 		t.Fatalf("first-fold mean exec = %v, want 0.010", got)
 	}
-	if !s.Observed() {
+	if !s.Snapshot().Observed {
 		t.Fatal("stage with folded completions must report Observed")
 	}
 }
@@ -206,21 +206,21 @@ func TestRateReadyOnFirstFold(t *testing.T) {
 // from "infinitely fast".
 func TestObservedSentinel(t *testing.T) {
 	s := newStageStats(0.5)
-	if s.Observed() {
+	if s.Snapshot().Observed {
 		t.Fatal("fresh stage must not report Observed")
 	}
 	// An open window alone is not a completion.
 	s.ObserveWorkerStart()
 	rec := s.NewSlotRecorder()
 	rec.ObserveBegin(time.Unix(5, 0).UnixNano())
-	if s.Observed() {
+	if s.Snapshot().Observed {
 		t.Fatal("open window without completion must not report Observed")
 	}
-	if s.Rate() != 0 || s.MeanExecTime() != 0 {
+	if s.Snapshot().Rate != 0 || s.Snapshot().MeanExecTime != 0 {
 		t.Fatal("unready stage getters must return 0")
 	}
 	rec.ObserveEnd(int64(time.Millisecond), time.Unix(5, 0).Add(time.Millisecond).UnixNano())
-	if !s.Observed() {
+	if !s.Snapshot().Observed {
 		t.Fatal("completion must flip Observed")
 	}
 }
@@ -245,7 +245,7 @@ func TestFirstFoldAnchorClearsOnReset(t *testing.T) {
 	rec2 := s.NewSlotRecorder()
 	rec2.ObserveBegin(later)
 	rec2.ObserveEnd(int64(10*time.Millisecond), later+int64(10*time.Millisecond))
-	if got := s.Rate(); math.Abs(got-100) > 5 {
+	if got := s.Snapshot().Rate; math.Abs(got-100) > 5 {
 		t.Fatalf("rate after pause = %v, want ~100", got)
 	}
 }

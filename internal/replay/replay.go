@@ -46,56 +46,11 @@ type StageRecord struct {
 	Nest   *SpecRecord `json:"nest,omitempty"`
 }
 
-// StageObs is one stage's observation row.
-type StageObs struct {
-	Name          string  `json:"name"`
-	Par           bool    `json:"par"`
-	MinDoP        int     `json:"minDoP,omitempty"`
-	MaxDoP        int     `json:"maxDoP,omitempty"`
-	HasNest       bool    `json:"hasNest,omitempty"`
-	Extent        int     `json:"extent"`
-	ExecTime      float64 `json:"execTime"`
-	MeanExecTime  float64 `json:"meanExecTime"`
-	Rate          float64 `json:"rate"`
-	Load          float64 `json:"load"`
-	LoadInstances int     `json:"loadInstances"`
-	Iterations    uint64  `json:"iterations"`
-	Completed     uint64  `json:"completed"`
-	Workers       int     `json:"workers,omitempty"`
-	Sojourn       float64 `json:"sojourn,omitempty"`
-	Observed      bool    `json:"observed,omitempty"`
-	// Robustness counters. A post-mortem replay is only trustworthy if the
-	// failure story survives the round trip: slot churn, absorbed panics,
-	// watchdog stalls, zombie slots, and shed queue items all record here.
-	Spawned           uint64 `json:"spawned,omitempty"`
-	Retired           uint64 `json:"retired,omitempty"`
-	Resizes           uint64 `json:"resizes,omitempty"`
-	Failures          uint64 `json:"failures,omitempty"`
-	ConsecFailures    int    `json:"consecFailures,omitempty"`
-	Stalls            uint64 `json:"stalls,omitempty"`
-	StallsDuringDrain uint64 `json:"stallsDuringDrain,omitempty"`
-	Zombies           int    `json:"zombies,omitempty"`
-	Shed              uint64 `json:"shed,omitempty"`
-}
-
-// NestObs is one nest's observation subtree.
-type NestObs struct {
-	Name     string              `json:"name"`
-	Path     string              `json:"path"`
-	AltIndex int                 `json:"altIndex"`
-	AltName  string              `json:"altName"`
-	Stages   []StageObs          `json:"stages"`
-	Children map[string]*NestObs `json:"children,omitempty"`
-}
-
-// ConfigRecord mirrors core.Config.
-type ConfigRecord struct {
-	Alt      int                      `json:"alt"`
-	Extents  []int                    `json:"extents"`
-	Children map[string]*ConfigRecord `json:"children,omitempty"`
-}
-
-// Entry is one recorded control-tick snapshot.
+// Entry is one recorded control-tick snapshot: the envelope around the core
+// observation schema. Config and Root are core's own types (their JSON tags
+// are the wire format); the envelope holds only what is not a core value as
+// recorded — uptime as float seconds, the platform features sampled to
+// numbers, and the spec's structure without its functors.
 type Entry struct {
 	// TimeSec is the executive uptime at the snapshot, in seconds.
 	TimeSec float64 `json:"t"`
@@ -115,9 +70,10 @@ type Entry struct {
 	// self-containedness; logs compress well).
 	Spec *SpecRecord `json:"spec"`
 	// Config is the active configuration.
-	Config *ConfigRecord `json:"config"`
-	// Root is the observation tree.
-	Root *NestObs `json:"root"`
+	Config *core.Config `json:"config"`
+	// Root is the observation tree. Its Spec pointers are not serialized;
+	// Decode links them to the structural spec rebuilt from Spec.
+	Root *core.NestReport `json:"root"`
 }
 
 // --- encoding ---------------------------------------------------------------
@@ -142,52 +98,9 @@ func encodeSpec(s *core.NestSpec) *SpecRecord {
 	return out
 }
 
-func encodeConfig(c *core.Config) *ConfigRecord {
-	if c == nil {
-		return nil
-	}
-	out := &ConfigRecord{Alt: c.Alt, Extents: append([]int(nil), c.Extents...)}
-	for k, v := range c.Children {
-		if out.Children == nil {
-			out.Children = map[string]*ConfigRecord{}
-		}
-		out.Children[k] = encodeConfig(v)
-	}
-	return out
-}
-
-func encodeNest(n *core.NestReport) *NestObs {
-	if n == nil {
-		return nil
-	}
-	out := &NestObs{
-		Name: n.Name, Path: n.Path, AltIndex: n.AltIndex, AltName: n.AltName,
-	}
-	for _, st := range n.Stages {
-		out.Stages = append(out.Stages, StageObs{
-			Name: st.Name, Par: st.Type == core.PAR,
-			MinDoP: st.MinDoP, MaxDoP: st.MaxDoP, HasNest: st.HasNest,
-			Extent: st.Extent, ExecTime: st.ExecTime, MeanExecTime: st.MeanExecTime,
-			Rate: st.Rate, Load: st.Load, LoadInstances: st.LoadInstances,
-			Iterations: st.Iterations, Completed: st.Completed,
-			Workers: st.Workers, Sojourn: st.QueueSojourn, Observed: st.Observed,
-			Spawned: st.Spawned, Retired: st.Retired, Resizes: st.Resizes,
-			Failures: st.Failures, ConsecFailures: st.ConsecutiveFailures,
-			Stalls: st.Stalls, StallsDuringDrain: st.StallsDuringDrain,
-			Zombies: st.Zombies, Shed: st.Shed,
-		})
-	}
-	for k, v := range n.Children {
-		if out.Children == nil {
-			out.Children = map[string]*NestObs{}
-		}
-		out.Children[k] = encodeNest(v)
-	}
-	return out
-}
-
-// Encode converts a live report into a serializable entry. Feature values
-// are sampled now, through the registered callbacks.
+// Encode wraps a live report in a serializable entry. Feature values are
+// sampled now, through the registered callbacks; Config and Root are shared
+// with r, not copied, so encode before handing r to anything that edits it.
 func Encode(r *core.Report) *Entry {
 	e := &Entry{
 		TimeSec:         r.Time.Seconds(),
@@ -197,8 +110,8 @@ func Encode(r *core.Report) *Entry {
 		BlockedAcquires: r.BlockedAcquires,
 		Rejected:        r.Rejected,
 		Spec:            encodeSpec(rootSpec(r)),
-		Config:          encodeConfig(r.Config),
-		Root:            encodeNest(r.Root),
+		Config:          r.Config,
+		Root:            r.Root,
 	}
 	if r.Features != nil {
 		for _, name := range r.Features.Names() {
@@ -247,54 +160,26 @@ func decodeSpec(s *SpecRecord) *core.NestSpec {
 	return out
 }
 
-func decodeConfig(c *ConfigRecord) *core.Config {
-	if c == nil {
-		return nil
-	}
-	out := &core.Config{Alt: c.Alt, Extents: append([]int(nil), c.Extents...)}
-	for k, v := range c.Children {
-		out.SetChild(k, decodeConfig(v))
-	}
-	return out
-}
-
-func decodeNest(n *NestObs, spec *core.NestSpec) *core.NestReport {
+// linkSpec returns a copy of the observation tree whose nodes point at their
+// nests in the structural spec (children matched by nest name). Stage rows
+// are shared with n; only the nodes are copied, so the entry stays as read.
+func linkSpec(n *core.NestReport, spec *core.NestSpec) *core.NestReport {
 	if n == nil {
 		return nil
 	}
-	out := &core.NestReport{
-		Name: n.Name, Path: n.Path, Spec: spec,
-		AltIndex: n.AltIndex, AltName: n.AltName,
-	}
-	for _, st := range n.Stages {
-		t := core.SEQ
-		if st.Par {
-			t = core.PAR
+	out := *n
+	out.Spec = spec
+	if n.Children != nil {
+		out.Children = make(map[string]*core.NestReport, len(n.Children))
+		for k, v := range n.Children {
+			var childSpec *core.NestSpec
+			if spec != nil {
+				childSpec = findChild(spec, k)
+			}
+			out.Children[k] = linkSpec(v, childSpec)
 		}
-		out.Stages = append(out.Stages, core.StageReport{
-			Name: st.Name, Type: t, MinDoP: st.MinDoP, MaxDoP: st.MaxDoP,
-			HasNest: st.HasNest, Extent: st.Extent,
-			ExecTime: st.ExecTime, MeanExecTime: st.MeanExecTime,
-			Rate: st.Rate, Load: st.Load, LoadInstances: st.LoadInstances,
-			Iterations: st.Iterations, Completed: st.Completed,
-			Workers: st.Workers, QueueSojourn: st.Sojourn, Observed: st.Observed,
-			Spawned: st.Spawned, Retired: st.Retired, Resizes: st.Resizes,
-			Failures: st.Failures, ConsecutiveFailures: st.ConsecFailures,
-			Stalls: st.Stalls, StallsDuringDrain: st.StallsDuringDrain,
-			Zombies: st.Zombies, Shed: st.Shed,
-		})
 	}
-	for k, v := range n.Children {
-		if out.Children == nil {
-			out.Children = map[string]*core.NestReport{}
-		}
-		var childSpec *core.NestSpec
-		if spec != nil {
-			childSpec = findChild(spec, k)
-		}
-		out.Children[k] = decodeNest(v, childSpec)
-	}
-	return out
+	return &out
 }
 
 func findChild(spec *core.NestSpec, name string) *core.NestSpec {
@@ -310,7 +195,7 @@ func findChild(spec *core.NestSpec, name string) *core.NestSpec {
 
 // Decode reconstructs a core.Report a mechanism can consume. The spec tree
 // is structural only (placeholder factories); Features answers exactly the
-// recorded values.
+// recorded values; Config is a copy the mechanism may edit.
 func Decode(e *Entry) *core.Report {
 	spec := decodeSpec(e.Spec)
 	features := platform.NewFeatures()
@@ -326,8 +211,8 @@ func Decode(e *Entry) *core.Report {
 		BlockedAcquires: e.BlockedAcquires,
 		Rejected:        e.Rejected,
 		Features:        features,
-		Config:          decodeConfig(e.Config),
-		Root:            decodeNest(e.Root, spec),
+		Config:          e.Config.Clone(),
+		Root:            linkSpec(e.Root, spec),
 	}
 }
 

@@ -215,84 +215,6 @@ func TestDecodeUnknownQueueSafe(t *testing.T) {
 	}
 }
 
-// TestRobustnessCountersRoundTrip pins the full counter set through
-// Encode -> JSONL -> ReadLog -> Decode. Before this test existed, the
-// StageObs row silently dropped Stalls, Zombies, Shed, Failures and the
-// slot-churn counters, so replayed incidents looked like clean runs. Every
-// field is nonzero so an accidentally dropped json tag cannot hide behind a
-// zero value.
-func TestRobustnessCountersRoundTrip(t *testing.T) {
-	rep := &core.Report{
-		Tenant:          "video",
-		Time:            1500 * time.Millisecond,
-		Contexts:        8,
-		BusyContexts:    5,
-		BlockedAcquires: 2,
-		Rejected:        42,
-		Config:          &core.Config{Alt: 0, Extents: []int{3}},
-		Root: &core.NestReport{
-			Name: "app", Path: "app", AltIndex: 0, AltName: "only",
-			Spec: &core.NestSpec{Name: "app", Alts: []*core.AltSpec{{
-				Name:   "only",
-				Stages: []core.StageSpec{{Name: "work", Type: core.PAR}},
-			}}},
-			Stages: []core.StageReport{{
-				Name: "work", Type: core.PAR, MinDoP: 1, MaxDoP: 16,
-				Extent: 3, ExecTime: 0.01, MeanExecTime: 0.012,
-				Rate: 250, Load: 7, LoadInstances: 3,
-				Iterations: 1000, Completed: 2, Workers: 3,
-				Spawned: 9, Retired: 6, Resizes: 4,
-				Failures: 11, ConsecutiveFailures: 3,
-				Stalls: 5, StallsDuringDrain: 2, Zombies: 1,
-				Shed: 17, QueueSojourn: 0.004, Observed: true,
-			}},
-		},
-	}
-
-	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
-	if err := rec.Record(rep); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("got %d entries, want 1", len(entries))
-	}
-	back := Decode(entries[0])
-
-	if back.Tenant != "video" {
-		t.Errorf("Tenant = %q, want video", back.Tenant)
-	}
-	if back.Rejected != 42 {
-		t.Errorf("Rejected = %d, want 42", back.Rejected)
-	}
-	a, b := rep.Root.Stages[0], back.Root.Stages[0]
-	if a.Spawned != b.Spawned || a.Retired != b.Retired || a.Resizes != b.Resizes {
-		t.Errorf("slot churn lost: %+v vs %+v", a, b)
-	}
-	if a.Failures != b.Failures || a.ConsecutiveFailures != b.ConsecutiveFailures {
-		t.Errorf("failure counters lost: %d/%d vs %d/%d",
-			a.Failures, a.ConsecutiveFailures, b.Failures, b.ConsecutiveFailures)
-	}
-	if a.Stalls != b.Stalls || a.StallsDuringDrain != b.StallsDuringDrain {
-		t.Errorf("stall counters lost: %d/%d vs %d/%d",
-			a.Stalls, a.StallsDuringDrain, b.Stalls, b.StallsDuringDrain)
-	}
-	if a.Zombies != b.Zombies {
-		t.Errorf("Zombies = %d, want %d", b.Zombies, a.Zombies)
-	}
-	if a.Shed != b.Shed {
-		t.Errorf("Shed = %d, want %d", b.Shed, a.Shed)
-	}
-	if a.QueueSojourn != b.QueueSojourn || a.Observed != b.Observed {
-		t.Errorf("sojourn/observed lost: %g/%v vs %g/%v",
-			a.QueueSojourn, a.Observed, b.QueueSojourn, b.Observed)
-	}
-}
-
 // TestInterruptedRecordingStillParses pins the truncated-tail contract: a
 // recorder killed mid-write leaves a partial final line, and ReadLog must
 // serve every complete entry before it instead of failing the whole log.

@@ -190,26 +190,9 @@ func (t *Tenant) Admit() bool {
 	return true
 }
 
-// TenantStatus is a point-in-time snapshot for admin surfaces, keyed by the
-// stable tenant name.
-type TenantStatus struct {
-	Name      string  `json:"name"`
-	State     string  `json:"state"`
-	Priority  int     `json:"priority"`
-	Weight    float64 `json:"weight"`
-	Quota     int     `json:"quota"`
-	Used      int     `json:"used"`
-	OverQuota int     `json:"overQuota"`
-	Peak      int     `json:"peak"`
-	Blocked   int     `json:"blocked"`
-	Acquires  uint64  `json:"acquires"`
-	Watts     float64 `json:"watts"`
-	Shed      uint64  `json:"shed"`
-	Rejected  uint64  `json:"rejected"`
-	Grants    uint64  `json:"grants"`
-	Revokes   uint64  `json:"revokes"`
-	Err       string  `json:"err,omitempty"`
-}
+// TenantStatus is a point-in-time snapshot of one tenant for admin surfaces
+// and the live-ops collector, keyed by the stable tenant name.
+type TenantStatus = metrics.TenantSample
 
 // Arbiter divides one shared context pool among registered tenants.
 type Arbiter struct {
@@ -869,20 +852,7 @@ func (a *Arbiter) AttachCollector(c *metrics.Collector, interval time.Duration) 
 	a.mu.Unlock()
 	stop := make(chan struct{})
 	var once sync.Once
-	sample := func() {
-		statuses := a.Tenants()
-		samples := make([]metrics.TenantSample, len(statuses))
-		for i, st := range statuses {
-			samples[i] = metrics.TenantSample{
-				Name: st.Name, State: st.State,
-				Priority: st.Priority, Weight: st.Weight,
-				Quota: st.Quota, Used: st.Used, Watts: st.Watts,
-				Shed: st.Shed, Rejected: st.Rejected,
-				Grants: st.Grants, Revokes: st.Revokes,
-			}
-		}
-		c.ObserveTenants(time.Since(a.start).Seconds(), samples)
-	}
+	sample := func() { c.ObserveTenants(time.Since(a.start).Seconds(), a.Tenants()) }
 	go func() {
 		defer a.wg.Done()
 		tick := time.NewTicker(interval)

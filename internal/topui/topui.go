@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"dope/internal/core"
 	"dope/internal/metrics"
 	"dope/internal/replay"
 	"dope/internal/stats"
@@ -161,17 +162,13 @@ func Frame(e *replay.Entry, snap *metrics.Snapshot, opts Opts) string {
 	return b.String()
 }
 
-func renderNest(b *strings.Builder, n *replay.NestObs, depth int, snap *metrics.Snapshot, opts Opts) {
+func renderNest(b *strings.Builder, n *core.NestReport, depth int, snap *metrics.Snapshot, opts Opts) {
 	if n == nil {
 		return
 	}
 	indent := strings.Repeat("  ", depth)
 	fmt.Fprintf(b, "%s%s  [alt %s]\n", indent, n.Name, n.AltName)
 	for _, st := range n.Stages {
-		typ := "SEQ"
-		if st.Par {
-			typ = "PAR"
-		}
 		var spark string
 		if snap != nil {
 			spark = sparkline(snap.Series["stage/"+n.Path+"/"+st.Name+"/extent"], opts.SparkWidth)
@@ -180,7 +177,7 @@ func renderNest(b *strings.Builder, n *replay.NestObs, depth int, snap *metrics.
 		}
 		name := indent + "  " + st.Name
 		fmt.Fprintf(b, "%-34s %3s %4d %8.1f %7.1fm %6d %5d %5d  %s\n",
-			name, typ, st.Extent, st.Rate, st.Sojourn*1000,
+			name, st.Type, st.Extent, st.Rate, st.QueueSojourn*1000,
 			st.Stalls, st.Shed, st.Failures, spark)
 	}
 	if len(n.Children) > 0 {
