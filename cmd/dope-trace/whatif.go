@@ -56,7 +56,6 @@ func runWhatIf(path string) int {
 	nests := map[string]*nestAgg{}
 	var order []string
 	for _, e := range entries {
-		rep := replay.Decode(e)
 		var walk func(n *core.NestReport)
 		walk = func(n *core.NestReport) {
 			if n == nil {
@@ -97,7 +96,7 @@ func runWhatIf(path string) int {
 				walk(child)
 			}
 		}
-		walk(rep.Root)
+		walk(e.Root)
 	}
 
 	exit := 0

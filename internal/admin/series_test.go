@@ -131,9 +131,9 @@ func TestSeriesEndpointMultiTenant(t *testing.T) {
 	}
 }
 
-// TestStatsExportsStageObservations pins the /stats audit: per-stage sojourn
+// TestStatsExportsStageRows pins the /stats audit: per-stage sojourn
 // gauges and the Observed flag must be exported, not just the roll-ups.
-func TestStatsExportsStageObservations(t *testing.T) {
+func TestStatsExportsStageRows(t *testing.T) {
 	e, work, consumed := testExec(t)
 	defer func() { e.Wait() }()
 	for i := 0; i < 200; i++ {

@@ -145,7 +145,7 @@ func Experiments() []Experiment {
 		{"tenants", "EXTENSION: multi-tenant isolation — misbehaver at 2x overload + 1% panics, arbitrated vs free-for-all", true, scaled(Tenants)},
 		{"table4", "application port summary", true, fixed(Table4)},
 		{"table5", "ferret/dedup throughput by mechanism (Figure 15)", true, scaled(Table5)},
-		{"reconfig-dip", "real-runtime reconfiguration cost: in-place resize vs whole-nest respawn", false, live(ReconfigDip)},
+		{"reconfig-dip", "real-runtime reconfiguration cost of in-place stage resizes", false, live(ReconfigDip)},
 		{"faults", "real-runtime throughput under injected panics, by failure policy", false, live(Faults)},
 		{"stalls", "real-runtime stall tolerance (task deadlines) and overload protection (load shedding)", false, live(Stalls)},
 		{"live-transcode", "real-runtime transcode server under WQ-Linear", false, live(LiveTranscode)},
