@@ -33,15 +33,16 @@ examples:
 stalls:
 	$(GO) run ./cmd/dope-bench -exp stalls
 
-# Begin/End and queue hand-off microbenchmarks with the allocation gates CI
-# runs on every push. Add RECORD=1 to append a labeled entry to each
-# suite's checked-in trajectory file (BENCH_beginend.json, BENCH_queue.json)
-# when recording a milestone; GOMAXPROCS in the environment picks the
-# parallelism the entry is recorded at.
+# Begin/End, queue hand-off and alternative-switch microbenchmarks with the
+# gates CI runs on every push (no allocation on the first two; no drain-long
+# head idle on the third). Add RECORD=1 to append a labeled entry to each
+# suite's checked-in trajectory file (BENCH_beginend.json, BENCH_queue.json,
+# BENCH_altswitch.json) when recording a milestone; GOMAXPROCS in the
+# environment picks the parallelism the entry is recorded at.
 BENCH_LABEL ?= dev
 RECORD ?=
 bench:
-	@set -e; for suite in beginend queue; do \
+	@set -e; for suite in beginend queue altswitch; do \
 		$(GO) run ./cmd/dope-bench -bench $$suite -label "$(BENCH_LABEL)" \
 			$(if $(RECORD),-out BENCH_$$suite.json,) -gate; \
 	done

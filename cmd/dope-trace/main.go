@@ -72,6 +72,9 @@ func main() {
 					time.Since(start).Seconds(), ev.Stage, ev.FromExtent, ev.ToExtent)
 			case dope.EventSuspend:
 				fmt.Printf("%8.3fs suspend: draining top-level tasks\n", time.Since(start).Seconds())
+			case dope.EventDrained:
+				fmt.Printf("%8.3fs drained %s, %v after its suspend\n",
+					time.Since(start).Seconds(), ev.Nest, ev.Drain.Round(10*time.Microsecond))
 			case dope.EventResume:
 				fmt.Printf("%8.3fs resume under %s\n", time.Since(start).Seconds(), ev.Config)
 			case dope.EventFinish:

@@ -127,6 +127,7 @@ const (
 	EventTaskFailure = core.EventTaskFailure
 	EventTaskStall   = core.EventTaskStall
 	EventShed        = core.EventShed
+	EventDrained     = core.EventDrained
 )
 
 // Failure policies (see DESIGN.md "Failure semantics"): FailStop surfaces

@@ -86,8 +86,11 @@ func hashChunk(seed uint64, bytes int) uint64 {
 // NewDedup builds the deduplication application as a root-level pipeline
 // over the server's work queue. Reconfiguration uses the same drain
 // protocol as ferret: only the head stage observes suspension, downstream
-// stages drain until the Fini cascade closes their in-queues, and Make
-// reopens the emptied queues on respawn.
+// stages drain until the Fini cascade closes their in-queues — behind the
+// other alternative, which starts at once — and Make reopens the queues,
+// which is safe because two instances of one alternative never coexist
+// (core.AltSpec.Make). The dedup index is shared by both alternatives and
+// is a sync.Map for the fused task's sake already.
 func NewDedup(s *Server, p DedupParams) *core.NestSpec {
 	p.defaults()
 	q1 := queue.New[chunk](32)

@@ -60,9 +60,12 @@ type fitem struct {
 // Reconfiguration follows the paper's drain protocol (§3.2 step 5): only
 // the head stage observes suspension — it stops pulling new queries — and
 // every downstream stage keeps consuming until the Fini cascade closes its
-// in-queue, so the pipeline is empty when the executive respawns it. Make
-// therefore reopens the (bounded) inter-stage queues and never needs to
-// migrate in-flight work across alternatives.
+// in-queue, so in-flight work never migrates across alternatives. On a
+// switch the fused alternative starts pulling queries while the pipeline
+// drains behind it (and vice versa); what makes it safe for Make to reopen
+// the (bounded) inter-stage queues is that the executive never instantiates
+// an alternative while an earlier instance of it is alive (core.AltSpec.Make)
+// — the queues are closed and empty by the time Make runs again.
 func NewFerret(s *Server, p FerretParams) *core.NestSpec {
 	p.defaults()
 	// Persistent inter-stage queues (qs[0] feeds segment, ..., qs[4] feeds
@@ -99,7 +102,7 @@ func NewFerret(s *Server, p FerretParams) *core.NestSpec {
 		},
 		Make: func(item any) (*core.AltInstance, error) {
 			for _, q := range qs {
-				q.Reopen() // empty after the previous run's drain
+				q.Reopen() // the previous pipeline instance has drained and closed it
 			}
 			inst := &core.AltInstance{Stages: make([]core.StageFns, 6)}
 			// Stage 0 (head): load queries from the server work queue. It

@@ -113,23 +113,66 @@ type Exec struct {
 	shedSeen     map[monitor.Key]uint64
 }
 
-// run is one suspension domain: the lifetime of one set of top-level task
-// instances between (re)spawns. It holds the stage worker groups of the
-// top-level nest so that extent-only reconfigurations can resize stages in
-// place instead of suspending everything.
+// run is one suspension domain: the lifetime of one instance of a root
+// alternative. It holds the stage worker groups of the top-level nest so
+// that extent-only reconfigurations can resize stages in place instead of
+// suspending everything. A run is created by whoever makes it current —
+// Start, or the install whose alternative switch suspends its predecessor —
+// and instantiated by serve, which may start it while the predecessor still
+// drains (see serve).
 type run struct {
+	// cfg is the configuration whose installation created the run; its Alt
+	// is the alternative the run instantiates. switched marks a run created
+	// by an alternative switch rather than by Start: instantiating it is an
+	// EventResume. Both immutable.
+	cfg      *Config
+	switched bool
+
 	suspend atomic.Bool
 	// suspendAt is when suspension was requested (unix nanoseconds); the
-	// drain watchdog measures the drain's age against it.
+	// drain watchdog and EventDrained measure the drain against it.
 	suspendAt atomic.Int64
+	// suspendCh closes once suspension has been requested and EventSuspend
+	// emitted; done closes when every group has exited and its Fini has run.
+	// status and err are runNest's result, written before done closes.
+	suspendCh chan struct{}
+	done      chan struct{}
+	status    Status
+	err       error
 
 	mu     sync.Mutex
 	groups []*workerGroup
 }
 
+func newRun(cfg *Config, switched bool) *run {
+	return &run{cfg: cfg, switched: switched, suspendCh: make(chan struct{}), done: make(chan struct{})}
+}
+
 func (r *run) suspending() bool { return r.suspend.Load() }
 
-func (r *run) requestSuspend() { r.suspend.Store(true) }
+// drainAge reports how long the run has been draining at now, or zero when
+// it is not suspending.
+func (r *run) drainAge(now time.Time) time.Duration {
+	if !r.suspending() {
+		return 0
+	}
+	at := r.suspendAt.Load()
+	if at == 0 {
+		return 0 // the request is landing; suspendAt follows the flag
+	}
+	return now.Sub(time.Unix(0, at))
+}
+
+// finished reports whether the run has ended with its input exhausted (or
+// failed to instantiate) rather than suspended.
+func (r *run) finished() bool {
+	select {
+	case <-r.done:
+		return r.status == Finished
+	default:
+		return false
+	}
+}
 
 // cancelAll closes every registered top-level slot's Done channel so
 // cooperative functors observe the drain request without polling. Nested
@@ -163,7 +206,8 @@ type resizeOp struct {
 // resize steers each registered group toward cfg's extents. Groups spawned
 // under a different alternative are skipped (an alternative change goes
 // through suspension, never through here), as is a run that is already
-// suspending — its slots are draining and will respawn under cfg anyway.
+// suspending — its slots are draining, and its successor adopts cfg's
+// extents when it registers its groups.
 func (r *run) resize(cfg *Config) []resizeOp {
 	if r.suspending() {
 		return nil
@@ -393,7 +437,8 @@ func (e *Exec) Uptime() time.Duration {
 // Reconfigurations returns how many configuration changes have been applied.
 func (e *Exec) Reconfigurations() uint64 { return e.reconfigs.Load() }
 
-// Suspensions returns how many full suspend/respawn cycles have occurred.
+// Suspensions returns how many times a run was suspended: once per install
+// that changed the root alternative, plus Stop.
 func (e *Exec) Suspensions() uint64 { return e.suspends.Load() }
 
 // Resizes returns how many in-place stage resizes have been applied (one
@@ -422,10 +467,11 @@ func (e *Exec) SetConfig(cfg *Config) {
 // install makes nc the active configuration and applies the cheapest
 // reconfiguration protocol that realizes it: nothing beyond the store for
 // child-only changes, in-place worker-group resizes for root extent
-// changes, and suspend→drain→respawn only when the root alternative
-// changed. nc must already be normalized and owned by the executive.
-// Installs are serialized by installMu so two concurrent callers cannot both
-// compare against the same stale configuration.
+// changes, and an alternative switch only when the root alternative
+// changed: the current run is replaced by a fresh one for serve to
+// instantiate, and suspended. nc must already be normalized and owned by
+// the executive. Installs are serialized by installMu so two concurrent
+// callers cannot both compare against the same stale configuration.
 func (e *Exec) install(nc *Config, mechName string) {
 	e.installMu.Lock()
 	old := e.cfg.Load()
@@ -435,15 +481,23 @@ func (e *Exec) install(nc *Config, mechName string) {
 	}
 	e.cfg.Store(nc)
 	e.reconfigs.Add(1)
-	respawn := rootAltDiffers(old, nc)
 	var ops []resizeOp
-	if !respawn {
-		if r := e.curRun.Load(); r != nil {
+	var switched *run
+	if r := e.curRun.Load(); r != nil {
+		if rootAltDiffers(old, nc) {
+			// The successor is current before its predecessor learns it is
+			// suspended, so serve never finds a suspended run current unless
+			// Stop put it there.
+			e.curRun.Store(newRun(nc, true))
+			switched = r
+		} else {
 			ops = r.resize(nc)
 		}
 	}
-	e.installMu.Unlock()
+	// Emitted under the lock, so the trace lists reconfigurations in the
+	// order they were installed even when installers race.
 	e.emit(Event{Kind: EventReconfigure, Config: nc.Clone(), Mechanism: mechName})
+	e.installMu.Unlock()
 	for _, op := range ops {
 		e.resizes.Add(1)
 		e.emit(Event{
@@ -452,8 +506,8 @@ func (e *Exec) install(nc *Config, mechName string) {
 			Config: nc.Clone(), Mechanism: mechName,
 		})
 	}
-	if respawn {
-		e.suspendCurrent()
+	if switched != nil {
+		e.suspend(switched)
 	}
 }
 
@@ -470,8 +524,11 @@ func (e *Exec) Start() error {
 	e.startAt.Store(at)
 	// The first run is registered before the serve goroutine exists so a
 	// reconfiguration issued immediately after Start still finds a run to
-	// suspend.
-	e.curRun.Store(&run{})
+	// suspend; under the install lock so it is created for the
+	// configuration that is current when it becomes visible.
+	e.installMu.Lock()
+	e.curRun.Store(newRun(e.cfg.Load(), false))
+	e.installMu.Unlock()
 	e.loopsWG.Add(2) // control and watchdog; serve joins them at shutdown
 	go e.serve()
 	go e.control()
@@ -498,32 +555,60 @@ func (e *Exec) Run() error {
 }
 
 // Stop asks the executive to shut down: the current run is suspended and
-// not respawned. Stop does not wait; call Wait to join.
+// no successor is instantiated; a predecessor still draining behind it is
+// suspended already. Stop does not wait; call Wait to join them.
 func (e *Exec) Stop() {
 	e.stop.Store(true)
-	e.suspendCurrent()
+	if r := e.curRun.Load(); r != nil {
+		e.suspend(r)
+	}
 }
 
 // Done returns a channel closed when the application has ended.
 func (e *Exec) Done() <-chan struct{} { return e.doneCh }
 
-func (e *Exec) suspendCurrent() {
-	if r := e.curRun.Load(); r != nil {
-		if !r.suspend.Swap(true) {
-			at := e.clock.Now().UnixNano()
-			if at == 0 {
-				at = 1 // virtual clocks may sit at the epoch; 0 means "not suspending"
-			}
-			r.suspendAt.Store(at)
-			e.suspends.Add(1)
-			e.emit(Event{Kind: EventSuspend})
-			r.cancelAll()
-		}
+// suspend requests r's suspension: its top-level workers observe Suspended
+// at their next Begin/End (or Suspending poll), finish the items they
+// already claimed and drain through their Fini cascade. Idempotent; only
+// the first request counts as a suspension.
+func (e *Exec) suspend(r *run) {
+	if r.suspend.Swap(true) {
+		return
 	}
+	at := e.clock.Now().UnixNano()
+	if at == 0 {
+		at = 1 // virtual clocks may sit at the epoch; 0 means "not suspending"
+	}
+	r.suspendAt.Store(at)
+	e.suspends.Add(1)
+	e.emit(Event{Kind: EventSuspend})
+	r.cancelAll()
+	close(r.suspendCh)
 }
 
-// serve is the root task loop: spawn the root nest, and on suspension
-// respawn it under the then-current configuration.
+// serve is the root task loop. It instantiates the current run and waits
+// for it to be suspended or to finish; on suspension it goes round again
+// for the run the switching install left current — at the suspension
+// request, not at the end of the drain. The predecessor's workers finish
+// the items they already claimed and its Fini cascade runs behind the
+// successor, on the same context pool (so Σ busy ≤ N holds throughout) and
+// claiming input through the same queue or channel (so every item is served
+// exactly once, whoever the claimant is).
+//
+// Overlap is the common case of one protocol, not a second one: where it
+// would be unsound, the same loop waits for the predecessor first —
+//
+//  1. two instances of one alternative never coexist (A→B→A inside one
+//     drain; this is what makes it safe for Make to reopen persistent
+//     inter-stage queues),
+//  2. alternatives sharing a stage name never coexist (monitor keys are
+//     nest/stage; two groups would fold into one stage's statistics),
+//  3. at most one run drains at a time (a second switch joins the older
+//     predecessor before the next instance starts),
+//  4. Stop and errors: every run is joined before EventFinish and doneCh.
+//
+// A run suspended before it was instantiated (several switches inside one
+// drain) is skipped: serve always instantiates the latest.
 func (e *Exec) serve() {
 	defer func() {
 		// ctrlCh is already closed (the defer below runs first), so both
@@ -537,38 +622,77 @@ func (e *Exec) serve() {
 		close(e.doneCh)
 	}()
 	defer close(e.ctrlCh)
+	var prev *run // started, and suspended or finished; joined lazily
+	failed := false
+	join := func(r *run) {
+		<-r.done
+		if r.err != nil {
+			// Only the latest instance can fail to instantiate, and whatever
+			// drains behind it is suspended already: nothing to stop, and no
+			// EventFinish follows.
+			failed = true
+			e.fail(r.err)
+		}
+	}
 	for {
-		r := e.curRun.Load()
-		st, err := e.runNest(r, e.root, []string{e.root.Name}, nil, true)
-		if err != nil {
-			e.errMu.Lock()
-			e.runErr = err
-			e.errMu.Unlock()
-			e.emit(Event{Kind: EventError, Err: err})
-			return
+		next := e.curRun.Load()
+		if prev != nil && (e.stop.Load() || next.suspending() || !e.root.mayOverlap(prev.cfg.Alt, next.cfg.Alt)) {
+			join(prev)
+			prev = nil
+			continue
 		}
-		if st == Finished || e.stop.Load() {
-			e.emit(Event{Kind: EventFinish})
-			return
-		}
-		// Suspended: the new configuration is already installed; resume.
-		// Stop is re-checked after the store: a Stop that lands between the
-		// check above and the store suspends only the already-drained old
-		// run, and the fresh run would otherwise never observe it — Wait
-		// would block until the new run finished naturally (forever, for a
-		// server workload). The atomics are sequentially consistent, so a
-		// Stop whose flag this read misses must load the run stored above
-		// and suspend that.
-		e.curRun.Store(&run{})
+		// Stop is checked after the load: a Stop that this read misses must
+		// itself load the run this iteration starts (or a later one) and
+		// suspend that, since the atomics are sequentially consistent.
 		if e.stop.Load() {
-			e.emit(Event{Kind: EventFinish})
-			return
+			break
 		}
-		e.emit(Event{Kind: EventResume, Config: e.cfg.Load().Clone()})
-		// Drain boundary: the suspended run's buffered events (suspend,
-		// stalls, sheds, the resume above) go out before the next run's.
+		if next.suspending() {
+			// Superseded before it was instantiated; install made its
+			// successor current before suspending it, so the reload differs.
+			continue
+		}
+		if next.switched {
+			e.emit(Event{Kind: EventResume, Config: e.cfg.Load().Clone()})
+			// Switch boundary: the suspend and the resume go out before the
+			// successor's events.
+			e.flushTrace()
+		}
+		go e.runTop(next)
+		select {
+		case <-next.suspendCh:
+		case <-next.done:
+		}
+		if prev != nil {
+			join(prev)
+		}
+		prev = next
+		if prev.finished() {
+			break
+		}
+	}
+	if prev != nil {
+		join(prev)
+	}
+	if !failed {
+		e.emit(Event{Kind: EventFinish})
+	}
+}
+
+// runTop runs r's instance of the root nest to its end on a goroutine of
+// its own, so that serve stays free to start the successor.
+func (e *Exec) runTop(r *run) {
+	r.status, r.err = e.runNest(r, e.root, []string{e.root.Name}, nil, true)
+	if r.err == nil && r.suspending() {
+		<-r.suspendCh // EventDrained never precedes its EventSuspend
+		e.emit(Event{
+			Kind:  EventDrained,
+			Nest:  e.root.Name + "/" + e.root.Alt(r.cfg.Alt).Name,
+			Drain: r.drainAge(e.clock.Now()),
+		})
 		e.flushTrace()
 	}
+	close(r.done)
 }
 
 // Mechanism returns the currently installed mechanism (nil = static).
@@ -680,6 +804,12 @@ func (e *Exec) runNest(r *run, spec *NestSpec, path []string, item any, top bool
 		// Undeclared nest: fall back to its own defaults.
 		cfg = DefaultConfig(spec)
 	}
+	if top {
+		// The alternative is the one serve vetted against the predecessor,
+		// not whatever a racing install has made current since; extents
+		// installed in the meantime are adopted below.
+		cfg = r.cfg
+	}
 	alt := spec.Alt(cfg.Alt)
 	inst, err := alt.Make(item)
 	if err != nil {
@@ -778,8 +908,8 @@ func (e *Exec) runNest(r *run, spec *NestSpec, path []string, item any, top bool
 	if top && r.suspending() {
 		// All slots were abandoned by the drain watchdog rather than
 		// exiting Suspended themselves; the run still drained for a
-		// suspension, not to completion, so serve must respawn (or honor
-		// Stop), not report Finished.
+		// suspension, not to completion, so serve must go on with its
+		// successor (or honor Stop), not report Finished.
 		return Suspended, nil
 	}
 	return Finished, nil

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -147,5 +149,143 @@ func TestResizeDuringDrainAdoptedAtRespawn(t *testing.T) {
 	e.Stop()
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// settledGoroutines waits for the goroutine count to come down to want (the
+// last workers exit a moment after Wait returns) and returns the count.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestStopDuringOverlapJoinsBothRuns: a Stop landing while a predecessor
+// drains behind its successor must suspend the successor and join both
+// before EventFinish and doneCh — Wait may not return with the predecessor's
+// worker still inside its item — and leave the pool full and no goroutine
+// behind.
+func TestStopDuringOverlapJoinsBothRuns(t *testing.T) {
+	before := runtime.NumGoroutine()
+	a := newOverlapApp(false)
+	e := startOverlapApp(t, a)
+	a.work.Enqueue(0)
+	eventually(t, "the predecessor to claim an item", func() bool { return a.claim[0].Load() == 1 })
+	e.SetConfig(&Config{Alt: 1, Extents: []int{2}})
+	a.work.Enqueue(1)
+	eventually(t, "the successor to serve", func() bool { return a.done.Load() == 1 })
+
+	e.Stop()
+	eventually(t, "the successor to drain", func() bool { return a.fini[1].Load() == 1 })
+	never(t, "Wait returned with the predecessor still draining", func() bool {
+		select {
+		case <-e.Done():
+			return true
+		default:
+			return false
+		}
+	})
+	close(a.gate)
+	if err := waitOrHang(t, e, "Wait hung after the predecessor drained"); err != nil {
+		t.Fatal(err)
+	}
+	if f0, f1 := a.fini[0].Load(), a.fini[1].Load(); f0 != 1 || f1 != 1 {
+		t.Fatalf("Fini counts after Wait: predecessor %d, successor %d; want 1 and 1", f0, f1)
+	}
+	if got, want := a.phases(), "suspend resume suspend drained drained"; got != want {
+		t.Fatalf("phases = %q, want %q", got, want)
+	}
+	a.mu.Lock()
+	last := a.events[len(a.events)-1]
+	a.mu.Unlock()
+	if last != EventFinish {
+		t.Fatalf("last event = %v, want finish after both drains", last)
+	}
+	if busy := e.Contexts().Busy(); busy != 0 {
+		t.Fatalf("pool busy = %d after Wait", busy)
+	}
+	if after := settledGoroutines(before); after > before {
+		t.Fatalf("goroutines: %d before Start, %d after Wait", before, after)
+	}
+}
+
+// TestFailStopInDrainingRunReachesWait: the predecessor's worker panics
+// while its run drains behind the successor. The error must become the run
+// error, the successor must be stopped and joined, and nothing may leak.
+func TestFailStopInDrainingRunReachesWait(t *testing.T) {
+	before := runtime.NumGoroutine()
+	a := newOverlapApp(false)
+	inner := a.spec.Alts[0].Make
+	a.spec.Alts[0].Make = func(item any) (*AltInstance, error) {
+		inst, err := inner(item)
+		fn := inst.Stages[0].Fn
+		inst.Stages[0].Fn = func(w *Worker) Status {
+			st := fn(w)
+			if st == Suspended && a.claim[0].Load() > 0 {
+				panic("boom while draining")
+			}
+			return st
+		}
+		return inst, err
+	}
+	e := startOverlapApp(t, a)
+	a.work.Enqueue(0)
+	eventually(t, "the predecessor to claim an item", func() bool { return a.claim[0].Load() == 1 })
+	e.SetConfig(&Config{Alt: 1, Extents: []int{2}})
+	a.work.Enqueue(1)
+	eventually(t, "the successor to serve", func() bool { return a.done.Load() == 1 })
+	close(a.gate)
+	err := waitOrHang(t, e, "Wait hung after a FailStop failure in the draining run")
+	if err == nil || !strings.Contains(err.Error(), "boom while draining") || !strings.Contains(err.Error(), "app/s0") {
+		t.Fatalf("Wait = %v, want the draining run's panic attributed to app/s0", err)
+	}
+	if f0, f1 := a.fini[0].Load(), a.fini[1].Load(); f0 != 1 || f1 != 1 {
+		t.Fatalf("Fini counts after Wait: predecessor %d, successor %d; want 1 and 1", f0, f1)
+	}
+	if busy := e.Contexts().Busy(); busy != 0 {
+		t.Fatalf("pool busy = %d after Wait", busy)
+	}
+	if after := settledGoroutines(before); after > before {
+		t.Fatalf("goroutines: %d before Start, %d after Wait", before, after)
+	}
+}
+
+// TestInstantiationFailureDuringOverlapJoinsPredecessor: the successor's
+// Make fails while the predecessor drains. Wait must surface the error, and
+// only after the predecessor has drained.
+func TestInstantiationFailureDuringOverlapJoinsPredecessor(t *testing.T) {
+	a := newOverlapApp(false)
+	errBoom := errors.New("cannot build the successor")
+	a.spec.Alts[1].Make = func(item any) (*AltInstance, error) {
+		return nil, errBoom
+	}
+	e := startOverlapApp(t, a)
+	a.work.Enqueue(0)
+	eventually(t, "the predecessor to claim an item", func() bool { return a.claim[0].Load() == 1 })
+	e.SetConfig(&Config{Alt: 1, Extents: []int{1}})
+	never(t, "Wait returned with the predecessor still draining", func() bool {
+		select {
+		case <-e.Done():
+			return true
+		default:
+			return false
+		}
+	})
+	close(a.gate)
+	err := waitOrHang(t, e, "Wait hung after an instantiation failure")
+	if err == nil || !strings.Contains(err.Error(), errBoom.Error()) {
+		t.Fatalf("Wait = %v, want the instantiation error", err)
+	}
+	if got := a.fini[0].Load(); got != 1 {
+		t.Fatalf("predecessor's Fini ran %d times before Wait returned, want 1", got)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, k := range a.events {
+		if k == EventFinish {
+			t.Fatalf("EventFinish after an instantiation failure: %v", a.events)
+		}
 	}
 }

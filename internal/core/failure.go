@@ -121,9 +121,8 @@ func taskError(key monitor.Key, p any, stack []byte) error {
 	return fmt.Errorf("core: task %s/%s panicked: %v\n%s", key.Nest, key.Stage, p, stack)
 }
 
-// recordTaskFailure makes err the run error (first failure wins) and shuts
-// the application down; sibling tasks drain through the normal protocol.
-func (e *Exec) recordTaskFailure(err error) {
+// fail makes err the run error (first failure wins) and publishes it.
+func (e *Exec) fail(err error) {
 	e.errMu.Lock()
 	if e.runErr == nil {
 		e.runErr = err
@@ -131,6 +130,13 @@ func (e *Exec) recordTaskFailure(err error) {
 	e.errMu.Unlock()
 	e.emit(Event{Kind: EventError, Err: err})
 	e.flushTrace() // a fatal error must not sit in the batch buffer
+}
+
+// recordTaskFailure makes err the run error and shuts the application down;
+// sibling tasks — of the failing run and of any run alongside it — drain
+// through the normal protocol.
+func (e *Exec) recordTaskFailure(err error) {
+	e.fail(err)
 	e.Stop()
 }
 

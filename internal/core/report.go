@@ -260,7 +260,11 @@ const (
 	EventResize
 	// EventSuspend: the executive requested top-level task suspension.
 	EventSuspend
-	// EventResume: top-level tasks respawned under a new configuration.
+	// EventResume: a new instance of the root nest started under a new
+	// configuration. After an alternative switch it follows the EventSuspend
+	// at once — the predecessor drains behind it — so suspend → resume is
+	// the time nobody was claiming input; it is only as long as a drain when
+	// the two alternatives may not overlap (see Exec.serve).
 	EventResume
 	// EventFinish: the application completed.
 	EventFinish
@@ -283,6 +287,12 @@ const (
 	// policy since the last watchdog patrol. ShedItems is the delta,
 	// ShedTotal the stage's cumulative count.
 	EventShed
+	// EventDrained: a suspended instance of the root nest has drained — its
+	// last worker group exited and its Fini cascade ran. Nest names the
+	// instance as nest/alternative and Drain is the time since its
+	// EventSuspend: the length of the overlap with its successor, or of the
+	// pause when the switch was serialized.
+	EventDrained
 )
 
 // String returns the event kind's name.
@@ -306,6 +316,8 @@ func (k EventKind) String() string {
 		return "task-stall"
 	case EventShed:
 		return "shed"
+	case EventDrained:
+		return "drained"
 	default:
 		return "unknown"
 	}
@@ -330,7 +342,8 @@ type Event struct {
 	ToExtent   int
 	// Err carries the failure for EventError and EventTaskFailure.
 	Err error
-	// Nest is the failing stage's nest path for EventTaskFailure.
+	// Nest is the failing stage's nest path for EventTaskFailure, and the
+	// drained instance (nest/alternative) for EventDrained.
 	Nest string
 	// Policy is the failure policy applied (after escalation); Escalated
 	// reports that budget or extent exhaustion forced FailStop.
@@ -356,4 +369,6 @@ type Event struct {
 	// per-stage shed counts.
 	ShedItems uint64
 	ShedTotal uint64
+	// Drain is an EventDrained's suspend → drained duration.
+	Drain time.Duration
 }

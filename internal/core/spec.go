@@ -93,6 +93,19 @@ type AltSpec struct {
 	// one run of the loop over the given work item. item is nil for the
 	// root loop. Make is called once per parent worker per iteration for
 	// nested loops, so it must be safe for concurrent use.
+	//
+	// For the root loop the executive never has two instances of one
+	// alternative alive: Make is called again only after the previous
+	// instance's last Fini has returned, so it may reuse (reopen) state
+	// that instance drained. Instances of different alternatives, however,
+	// may run side by side for the length of one drain: on an alternative
+	// switch the successor is instantiated at the suspension request while
+	// the predecessor's workers finish the items they already claimed (see
+	// Exec.serve; alternatives sharing a stage name are serialized instead).
+	// Both claim input from the same source, so that source must hand each
+	// item to exactly one claimant — a queue or a channel does — and state
+	// shared between alternatives must be safe for concurrent use. A SEQ
+	// stage bounds the workers within an instance, not across the two.
 	Make func(item any) (*AltInstance, error)
 }
 
@@ -201,6 +214,25 @@ func (n *NestSpec) FindAlt(name string) int {
 		}
 	}
 	return -1
+}
+
+// mayOverlap reports whether instances of alternatives i and j may run side
+// by side for the length of one drain: they must be different alternatives
+// (an instance may own persistent state, such as inter-stage queues that
+// Make reopens) with no stage name in common (the monitors key statistics by
+// nest/stage).
+func (n *NestSpec) mayOverlap(i, j int) bool {
+	if i == j {
+		return false
+	}
+	for _, a := range n.Alt(i).Stages {
+		for _, b := range n.Alt(j).Stages {
+			if a.Name == b.Name {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // clampExtent applies the stage's type and DoP bounds to a requested extent.

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the executive's stall-tolerance layer. The reconfiguration
-// protocol (exec.go) is only safe against tasks that return: runNest blocks
-// until every stage's worker group has drained, so one functor stuck in an
-// infinite loop or blocked on I/O would hang every reconfiguration, Stop,
-// and Wait forever. Two watchdogs close that hole:
+// protocol (exec.go) is only safe against tasks that return: a run ends
+// when every stage's worker group has drained, so one functor stuck in an
+// infinite loop or blocked on I/O would hang Stop and Wait forever, and
+// every alternative switch after the next. Two watchdogs close that hole:
 //
 //   - the invocation watchdog arms a per-invocation deadline on the
 //     Begin..End CPU section of deadlined stages (StageSpec.Deadline or the
@@ -190,19 +190,13 @@ func (e *Exec) watchdog() {
 	}
 }
 
-// patrol runs one watchdog sweep: deadline overruns on every watched
-// group, the drain timeout on the suspending run, and shed-counter deltas.
+// patrol runs one watchdog sweep: on every watched group, the drain timeout
+// if the group's own run has been suspending for longer, deadline overruns
+// otherwise; then shed-counter deltas. Each group is judged against the run
+// it belongs to, so a predecessor draining behind the current run is
+// bounded like any other drain.
 func (e *Exec) patrol() {
 	now := e.clock.Now()
-	var drainAge time.Duration
-	r := e.curRun.Load()
-	if r != nil && e.drainTimeout > 0 && r.suspending() {
-		if at := r.suspendAt.Load(); at != 0 {
-			if age := now.Sub(time.Unix(0, at)); age > e.drainTimeout {
-				drainAge = age
-			}
-		}
-	}
 	e.watchMu.Lock()
 	groups := make([]*workerGroup, 0, len(e.watched))
 	for g := range e.watched {
@@ -210,8 +204,8 @@ func (e *Exec) patrol() {
 	}
 	e.watchMu.Unlock()
 	for _, g := range groups {
-		if drainAge > 0 && g.r == r {
-			g.patrolDrain(drainAge)
+		if age := g.r.drainAge(now); e.drainTimeout > 0 && age > e.drainTimeout {
+			g.patrolDrain(age)
 		} else {
 			g.patrolDeadline(now)
 		}

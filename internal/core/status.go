@@ -26,9 +26,11 @@
 //     observe retirement at their next Begin/End and exit after the current
 //     iteration while every other stage keeps flowing;
 //   - a root alternative switch (e.g. fusion ↔ pipeline), which changes the
-//     stage set itself, uses the full suspension protocol: top-level workers
-//     observe Suspended from Task.Begin / Task.End, drain via their FiniCBs,
-//     and are respawned under the new configuration.
+//     stage set itself, uses the suspension protocol: top-level workers
+//     observe Suspended from Task.Begin / Task.End and drain via their
+//     FiniCBs, while the new alternative is instantiated at the suspension
+//     request and serves behind them (Exec.serve lists when it must wait
+//     for the drain instead).
 package core
 
 import (

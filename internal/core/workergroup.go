@@ -123,7 +123,7 @@ func (s *groupSlot) claimStall() (claimed, reclaim bool) {
 // unit of in-place reconfiguration: the executive grows a group by spawning
 // slots and shrinks it by retiring them, while every other stage of the
 // nest keeps flowing. Only an alternative switch (fusion ↔ pipeline) still
-// pays for the whole-nest suspend→drain→respawn protocol.
+// suspends and drains the whole nest, behind its successor.
 type workerGroup struct {
 	exec   *Exec
 	r      *run

@@ -14,8 +14,9 @@ import (
 )
 
 // DecisionEntry is one row of the live-ops decision log: a mechanism
-// reconfiguration, an in-place resize, a failure/stall/shed event, or a
-// tenant arbitration action, normalized to a flat shape the UI and the
+// reconfiguration, an in-place resize, the suspend/resume/drained phases of
+// an alternative switch, a failure/stall/shed event, or a tenant arbitration
+// action, normalized to a flat shape the UI and the
 // /series endpoint can render uniformly.
 type DecisionEntry struct {
 	Seq       uint64  `json:"seq"`
@@ -188,6 +189,8 @@ func (c *Collector) recordEvent(ev core.Event) {
 	case ev.Kind == core.EventTaskFailure:
 		d.Detail = fmt.Sprintf("failures %d, consecutive %d (policy %v)",
 			ev.Failures, ev.ConsecFailures, ev.Policy)
+	case ev.Kind == core.EventDrained:
+		d.Detail = fmt.Sprintf("%.1fms after its suspend", ev.Drain.Seconds()*1e3)
 	case ev.Kind == core.EventReconfigure && ev.Config != nil:
 		d.Detail = fmt.Sprintf("extents %v", ev.Config.Extents)
 	}

@@ -147,3 +147,26 @@ func TestCollectorEventOverflowDrops(t *testing.T) {
 		t.Log("writer kept up with 100k events; drop path not exercised this run")
 	}
 }
+
+// TestCollectorSwitchPhases: the phases of an alternative switch reach the
+// decision log by kind, and the drained row carries the instance and how
+// long after its suspend it drained.
+func TestCollectorSwitchPhases(t *testing.T) {
+	c := NewCollector(16)
+	for _, ev := range []core.Event{
+		{Kind: core.EventSuspend, Time: time.Second},
+		{Kind: core.EventResume, Time: time.Second + 40*time.Microsecond},
+		{Kind: core.EventDrained, Time: time.Second + 80*time.Millisecond,
+			Nest: "ferret/pipeline", Drain: 80 * time.Millisecond},
+	} {
+		c.ObserveEvent(ev)
+	}
+	c.Close()
+	evs := c.Snapshot(0).Events
+	if len(evs) != 3 || evs[0].Kind != "suspend" || evs[1].Kind != "resume" || evs[2].Kind != "drained" {
+		t.Fatalf("events = %+v", evs)
+	}
+	if d := evs[2]; d.Nest != "ferret/pipeline" || d.Detail != "80.0ms after its suspend" {
+		t.Fatalf("drained row = %+v", d)
+	}
+}

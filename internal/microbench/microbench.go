@@ -1,7 +1,8 @@
-// Package microbench measures the executive's own per-task overhead — the
-// Begin/End hot path and the queue hand-off (queue.go) — outside `go test`,
-// so cmd/dope-bench can emit benchmark trajectory files (BENCH_beginend.json,
-// BENCH_queue.json) that are checked in and compared across PRs. The paper's
+// Package microbench measures the executive's own overhead — the Begin/End
+// hot path, the queue hand-off (queue.go) and the root alternative switch
+// (altswitch.go) — outside `go test`, so cmd/dope-bench can emit benchmark
+// trajectory files (BENCH_beginend.json, BENCH_queue.json,
+// BENCH_altswitch.json) that are checked in and compared across PRs. The paper's
 // §8.2 requires DoPE's monitoring and orchestration overhead to stay
 // negligible relative to task grain; these numbers are the repo's standing
 // evidence.
@@ -46,6 +47,9 @@ type Result struct {
 	AllocsPerOp int64     `json:"allocs_per_op"`
 	BytesPerOp  int64     `json:"bytes_per_op"`
 	Samples     []float64 `json:"samples_ns_per_op,omitempty"`
+	// ItemsInWindow is the altswitch suite's second measurement: items
+	// completed in the two pipeline depths after a switch request (median).
+	ItemsInWindow float64 `json:"items_in_window,omitempty"`
 }
 
 // benchCase is one named benchmark of a suite.
@@ -215,7 +219,10 @@ func BeginEnd() []Result {
 // Gate enforces the benchmark acceptance floor: the uncontended Begin/End
 // path must be allocation-free — single-tenant, multi-tenant, and with a
 // live-ops collector attached alike — and so must a hand-off through a
-// bounded queue. It returns an error naming the first violation.
+// bounded queue; and an alternative switch must not leave the input
+// unclaimed for half a pipeline depth (the successor starts at the
+// suspension request; behind a drain barrier it waits about a whole one).
+// It returns an error naming the first violation.
 func Gate(results []Result) error {
 	for _, r := range results {
 		switch r.Name {
@@ -223,6 +230,11 @@ func Gate(results []Result) error {
 			if r.AllocsPerOp > 0 {
 				return fmt.Errorf("microbench: %s allocates %d objects/op, want 0 (Begin/End fast path must be allocation-free)",
 					r.Name, r.AllocsPerOp)
+			}
+		case "AltSwitchPipelineToFused", "AltSwitchFusedToPipeline":
+			if limit := altSwitchDepth / 2; r.NsPerOp > float64(limit) {
+				return fmt.Errorf("microbench: %s idles the head for %.2f ms per switch, want under %v (the successor must not wait for the drain)",
+					r.Name, r.NsPerOp/1e6, limit)
 			}
 		case "QueueSPSC64", "QueuePipe":
 			// A queue that reallocates its backing store every capacity-th

@@ -64,9 +64,14 @@ type PipelineOptions struct {
 // from src. The stream ends when src is closed and drained. done, if
 // non-nil, observes each item leaving the last stage (completion
 // accounting). The returned spec follows the drain protocol: on
-// reconfiguration only the head stops pulling from src; in-flight items
-// complete through the remaining stages before the pipeline respawns, so
-// no item is ever lost or duplicated.
+// reconfiguration only the head stops pulling from src and in-flight items
+// complete through the remaining stages, so no item is ever lost or
+// duplicated. With Fused, a switch starts the other alternative at once and
+// the old one drains behind it: for that long both receive from src (a
+// channel hands each item to one of them), stage Fns and done run
+// concurrently across the two even where a stage is not Par, and the
+// persistent inter-stage queues are reopened only by the next pipeline
+// instance, which the executive never makes while this one is alive.
 //
 // The builder is the mechanical equivalent of the hand-written ports in
 // internal/apps; use those as references when a loop needs structure this
