@@ -49,8 +49,7 @@ func newService(policy dope.FailurePolicy, work *queue.Queue[int], served *atomi
 					if w.Suspending() {
 						return dope.Suspended
 					}
-					id, ok, err := work.DequeueWhile(
-						func() bool { return !w.Suspending() }, 0)
+					id, ok, err := work.DequeueUntil(w.Done())
 					if errors.Is(err, queue.ErrClosed) {
 						return dope.Finished
 					}
@@ -60,7 +59,7 @@ func newService(policy dope.FailurePolicy, work *queue.Queue[int], served *atomi
 					if id > 0 && id%poisonMod == 0 {
 						panic(fmt.Sprintf("malformed request %d", id))
 					}
-					w.Begin() //dopevet:ignore suspendcheck suspension is observed via the DequeueWhile predicate
+					w.Begin()                          //dopevet:ignore suspendcheck suspension is observed via DequeueUntil(w.Done())
 					time.Sleep(300 * time.Microsecond) //dopevet:ignore tokenhold sleep simulates request work in the example
 					served.Add(1)
 					w.End()

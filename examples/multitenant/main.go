@@ -73,15 +73,14 @@ func newWorkload(name string) *tenantWorkload {
 					if w.Suspending() {
 						return core.Suspended
 					}
-					_, ok, err := t.work.DequeueWhile(
-						func() bool { return !w.Suspending() }, 0)
+					_, ok, err := t.work.DequeueUntil(w.Done())
 					if errors.Is(err, queue.ErrClosed) {
 						return core.Finished
 					}
 					if !ok {
 						return core.Suspended
 					}
-					w.Begin()                          //dopevet:ignore suspendcheck suspension is observed via the DequeueWhile predicate
+					w.Begin()                          //dopevet:ignore suspendcheck suspension is observed via DequeueUntil(w.Done())
 					time.Sleep(200 * time.Microsecond) //dopevet:ignore tokenhold sleep simulates request work in the example
 					t.served.Add(1)
 					w.End()

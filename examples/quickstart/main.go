@@ -37,8 +37,7 @@ func main() {
 			return &dope.AltInstance{Stages: []dope.StageFns{
 				{
 					Fn: func(w *dope.Worker) dope.Status {
-						v, ok, err := work.DequeueWhile(
-							func() bool { return !w.Suspending() }, 0)
+						v, ok, err := work.DequeueUntil(w.Done())
 						if errors.Is(err, queue.ErrClosed) {
 							return dope.Finished
 						}

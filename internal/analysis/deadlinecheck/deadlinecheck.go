@@ -14,8 +14,9 @@
 // named directly), and each of its outermost loops must reference one of
 // the cooperation signals — Worker.Done, Worker.Context, Worker.Suspending,
 // TaskContext.Done, or Worker.RunNest (which observes suspension
-// internally) — anywhere in the loop, including inside predicate function
-// literals (the DequeueWhile idiom). Loops nested inside a cooperating loop
+// internally) — anywhere in the loop, including as an argument (the
+// DequeueUntil(w.Done()) idiom) and inside predicate function literals
+// (the DequeueWhile idiom). Loops nested inside a cooperating loop
 // are not re-checked: the outer loop bounds how long the slot ignores the
 // signal. Genuinely bounded spin loops can suppress the diagnostic with
 // `//dopevet:ignore deadlinecheck <reason>`.

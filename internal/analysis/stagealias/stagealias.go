@@ -436,7 +436,7 @@ func analyze(pass *framework.Pass, lit *ast.FuncLit, decls map[*types.Func]*ast.
 						pos:     n.Pos(),
 					})
 				}
-			case "Dequeue", "TryDequeue", "DequeueWhile":
+			case "Dequeue", "TryDequeue", "DequeueWhile", "DequeueUntil":
 				fn.recvs[rootVar(info, sel.X)] = true
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dope/internal/core"
+	"dope/internal/queue"
 )
 
 func dequeueWhile(pred func() bool) (int, bool) { return 0, pred() }
@@ -48,6 +49,38 @@ var okSuspending = &core.AltSpec{
 			Fn: func(w *core.Worker) core.Status {
 				for {
 					if _, ok := dequeueWhile(func() bool { return !w.Suspending() }); !ok {
+						return core.Suspended
+					}
+					if w.Begin() == core.Suspended {
+						return core.Suspended
+					}
+					spin()
+					if w.End() == core.Suspended {
+						return core.Suspended
+					}
+				}
+			},
+		}}}, nil
+	},
+}
+
+// Waiting for work in DequeueUntil(w.Done()) hands the Done channel to the
+// wait itself: an abandoned slot's idle wait ends when Done closes.
+var okDequeueUntil = &core.AltSpec{
+	Name: "until",
+	Stages: []core.StageSpec{
+		{Name: "serve", Type: core.PAR, Deadline: 10 * time.Millisecond},
+	},
+	Make: func(item any) (*core.AltInstance, error) {
+		work := queue.New[int](0)
+		return &core.AltInstance{Stages: []core.StageFns{{
+			Fn: func(w *core.Worker) core.Status {
+				for {
+					_, ok, err := work.DequeueUntil(w.Done())
+					if err != nil {
+						return core.Finished
+					}
+					if !ok {
 						return core.Suspended
 					}
 					if w.Begin() == core.Suspended {

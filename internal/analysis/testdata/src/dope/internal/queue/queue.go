@@ -17,6 +17,11 @@ func (q *Queue[T]) DequeueWhile(keepWaiting func() bool, poll time.Duration) (T,
 	return zero, false, nil
 }
 
+func (q *Queue[T]) DequeueUntil(done <-chan struct{}) (T, bool, error) {
+	var zero T
+	return zero, false, nil
+}
+
 func New[T any](capacity int) *Queue[T] { return &Queue[T]{} }
 
 func (q *Queue[T]) TryEnqueue(item T) (bool, error) { return true, nil }

@@ -172,6 +172,39 @@ func sameBufferEachEnqueue(q *queue.Queue[[]byte]) *core.AltInstance {
 	}}
 }
 
+// DequeueUntil is a receive like Dequeue: a sibling that waits for the
+// captured buffer on the worker's Done channel still aliases it.
+func sameBufferEachEnqueueUntil(q *queue.Queue[[]byte]) *core.AltInstance {
+	buf := make([]byte, 64)
+	return &core.AltInstance{Stages: []core.StageFns{
+		{
+			Fn: func(w *core.Worker) core.Status {
+				if w.Begin() == core.Suspended {
+					return core.Suspended
+				}
+				q.Enqueue(buf) // want `stage functor forwards the captured reference "buf" to a sibling stage`
+				return w.End()
+			},
+		},
+		{
+			Fn: func(w *core.Worker) core.Status {
+				b, ok, err := q.DequeueUntil(w.Done())
+				if err != nil {
+					return core.Finished
+				}
+				if !ok {
+					return core.Suspended
+				}
+				if w.Begin() == core.Suspended {
+					return core.Suspended
+				}
+				observe(stamp(b))
+				return w.End()
+			},
+		},
+	}}
+}
+
 // PipeStage functors group the same way as StageFns functors.
 func pipeStageSiblings() []dope.PipeStage[int] {
 	seen := 0

@@ -73,6 +73,17 @@ func dequeues(w *core.Worker, q *queue.Queue[int]) core.Status {
 	return w.End()
 }
 
+// DequeueUntil blocks for an item as surely as Dequeue; waking on Done does
+// not make holding the context across it any less a leak.
+func dequeuesUntil(w *core.Worker, q *queue.Queue[int]) core.Status {
+	if w.Begin() == core.Suspended {
+		return core.Suspended
+	}
+	v, _, _ := q.DequeueUntil(w.Done()) // want `blocking call to \(queue\.Queue\)\.DequeueUntil while holding`
+	_ = v
+	return w.End()
+}
+
 func rangesChan(w *core.Worker, in chan int) core.Status {
 	if w.Begin() == core.Suspended {
 		return core.Suspended

@@ -86,6 +86,7 @@ var blockingMethods = map[[3]string]bool{
 	{"dope/internal/queue", "Queue", "Enqueue"}:      true,
 	{"dope/internal/queue", "Queue", "Dequeue"}:      true,
 	{"dope/internal/queue", "Queue", "DequeueWhile"}: true,
+	{"dope/internal/queue", "Queue", "DequeueUntil"}: true,
 }
 
 // checker carries the per-package summaries through one run.

@@ -136,8 +136,7 @@ func NewDedup(s *Server, p DedupParams) *core.NestSpec {
 						if w.Suspending() {
 							return core.Suspended
 						}
-						req, ok, err := s.Work.DequeueWhile(
-							func() bool { return !w.Suspending() }, queuePoll)
+						req, ok, err := s.Work.DequeueUntil(w.Done())
 						if errors.Is(err, queue.ErrClosed) {
 							return core.Finished
 						}
@@ -229,8 +228,7 @@ func NewDedup(s *Server, p DedupParams) *core.NestSpec {
 					if w.Suspending() {
 						return core.Suspended
 					}
-					req, ok, err := s.Work.DequeueWhile(
-						func() bool { return !w.Suspending() }, queuePoll)
+					req, ok, err := s.Work.DequeueUntil(w.Done())
 					if errors.Is(err, queue.ErrClosed) {
 						return core.Finished
 					}

@@ -113,8 +113,7 @@ func NewFerret(s *Server, p FerretParams) *core.NestSpec {
 					if w.Suspending() {
 						return core.Suspended
 					}
-					req, ok, err := s.Work.DequeueWhile(
-						func() bool { return !w.Suspending() }, queuePoll)
+					req, ok, err := s.Work.DequeueUntil(w.Done())
 					if errors.Is(err, queue.ErrClosed) {
 						return core.Finished
 					}
@@ -188,8 +187,7 @@ func NewFerret(s *Server, p FerretParams) *core.NestSpec {
 					if w.Suspending() {
 						return core.Suspended
 					}
-					req, ok, err := s.Work.DequeueWhile(
-						func() bool { return !w.Suspending() }, queuePoll)
+					req, ok, err := s.Work.DequeueUntil(w.Done())
 					if errors.Is(err, queue.ErrClosed) {
 						return core.Finished
 					}

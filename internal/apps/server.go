@@ -73,9 +73,6 @@ func (s *Server) Complete(r *Request, execStart time.Time) {
 // Submitted returns how many requests have been submitted.
 func (s *Server) Submitted() int { return s.subs }
 
-// queuePoll is how often blocked tasks re-check for work and suspension.
-const queuePoll = 200 * time.Microsecond
-
 // OuterLoop builds the canonical root nest of a two-level server
 // application (the paper's Figure 1 structure): a single PAR stage that
 // dequeues requests and runs the inner nest once per request, with
@@ -91,8 +88,7 @@ func OuterLoop(name string, s *Server, inner *core.NestSpec) *core.NestSpec {
 					if w.Suspending() {
 						return core.Suspended
 					}
-					req, ok, err := s.Work.DequeueWhile(
-						func() bool { return !w.Suspending() }, queuePoll)
+					req, ok, err := s.Work.DequeueUntil(w.Done())
 					if errors.Is(err, queue.ErrClosed) {
 						return core.Finished
 					}

@@ -568,7 +568,8 @@ func (e *Exec) Stop() {
 func (e *Exec) Done() <-chan struct{} { return e.doneCh }
 
 // suspend requests r's suspension: its top-level workers observe Suspended
-// at their next Begin/End (or Suspending poll), finish the items they
+// at their next Begin/End (idle ones are woken by their Done channel,
+// which cancelAll closes after the flag is raised), finish the items they
 // already claimed and drain through their Fini cascade. Idempotent; only
 // the first request counts as a suspension.
 func (e *Exec) suspend(r *run) {

@@ -48,7 +48,7 @@ func newOverlapApp(shared bool) *overlapApp {
 						if w.Suspending() {
 							return Suspended
 						}
-						_, ok, err := a.work.DequeueWhile(func() bool { return !w.Suspending() }, 200*time.Microsecond)
+						_, ok, err := a.work.DequeueUntil(w.Done())
 						if err != nil {
 							return Finished
 						}

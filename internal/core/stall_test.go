@@ -5,16 +5,20 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dope/internal/queue"
 )
 
 // stallSpec builds a one-stage PAR nest whose functor consults shouldStall
 // on each invocation: a stalling invocation opens its CPU section and then
-// blocks — on Worker.Done for cooperative stalls (the goroutine unblocks
-// when the watchdog abandons the slot) or on the returned gate channel for
+// blocks — in DequeueUntil(w.Done()) on a queue nothing feeds for
+// cooperative stalls (the goroutine unblocks only when the watchdog
+// abandons the slot and closes Done) or on the returned gate channel for
 // hard stalls (the goroutine is truly stuck until the test closes the
 // gate, modelling a task the runtime cannot reach).
 func stallSpec(st StageSpec, shouldStall func() bool, cooperative bool) (*NestSpec, chan struct{}) {
 	gate := make(chan struct{})
+	idle := queue.New[int](0)
 	mk := func() (*AltInstance, error) {
 		return &AltInstance{Stages: []StageFns{{
 			Fn: func(w *Worker) Status {
@@ -23,7 +27,7 @@ func stallSpec(st StageSpec, shouldStall func() bool, cooperative bool) (*NestSp
 				}
 				if shouldStall() {
 					if cooperative {
-						<-w.Done() //dopevet:ignore tokenhold stalling inside the window is what the test injects
+						idle.DequeueUntil(w.Done()) //dopevet:ignore tokenhold stalling inside the window is what the test injects
 					} else {
 						<-gate //dopevet:ignore tokenhold stalling inside the window is what the test injects
 					}

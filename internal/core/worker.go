@@ -76,10 +76,12 @@ func (w *Worker) Item() any { return w.item }
 func (w *Worker) Extent() int { return w.group.Target() }
 
 // Suspending reports whether the executive needs this worker to stop: its
-// run is suspending for an alternative switch, or its slot was retired by
-// an in-place shrink. Functors that block for work outside Begin/End (e.g.
-// on a queue) consult it to stay responsive to reconfiguration, typically
-// via queue.DequeueWhile.
+// run is suspending for an alternative switch or Stop, or its slot was
+// retired by an in-place shrink or abandoned by the stall watchdog. It is a
+// flag to check, not to wait on: a functor that blocks for work outside
+// Begin/End (e.g. on a queue) waits on Done instead, typically via
+// queue.DequeueUntil(w.Done()), and Done is closed whenever Suspending can
+// turn true.
 func (w *Worker) Suspending() bool {
 	if w.gslot != nil && w.gslot.retiring() {
 		return true
@@ -170,9 +172,16 @@ func (w *Worker) End() Status {
 // Done returns a channel closed when the executive no longer wants this
 // worker's slot to keep working: the slot was retired by a shrink,
 // abandoned by the stall watchdog after a deadline overrun, or its run
-// began suspending for a reconfiguration or Stop. Functors of deadlined
-// stages should select on it inside long loops or waits so a cancelled
-// invocation stops cooperatively instead of leaking its goroutine.
+// began suspending for a reconfiguration or Stop. It is the wake-up signal
+// for every idle wait: the executive closes it on each path that can make
+// Suspending true (Exec.suspend raises the run's flag and then cancels
+// every top-level slot, a shrink or abandonment retires the slot and then
+// cancels it, and a slot spawned into a suspending run is born cancelled),
+// so a functor blocked in queue.DequeueUntil(w.Done()) or a select on it
+// needs no timer to notice a reconfiguration. Functors of deadlined stages
+// should also select on it inside long loops so a cancelled invocation
+// stops cooperatively instead of leaking its goroutine. Nil for
+// hand-built Workers, whose waits then never end on cancellation.
 func (w *Worker) Done() <-chan struct{} {
 	if w.gslot == nil {
 		return nil

@@ -11,8 +11,9 @@ import (
 )
 
 // groupSlot is one worker position within a stage's worker group. A shrink
-// retires a specific slot by raising its retire flag; the slot's worker
-// observes the flag at its next Begin/End (or DequeueWhile predicate check)
+// retires a specific slot by raising its retire flag and then closing its
+// cancel channel; the slot's worker observes the flag at its next
+// Begin/End, or is woken out of an idle wait by the channel (Worker.Done),
 // and exits after finishing the current iteration, so no work is lost.
 // A slot is never un-retired: a grow that follows a shrink spawns fresh
 // slots instead, which keeps the retire flag single-transition and free of
@@ -23,7 +24,11 @@ type groupSlot struct {
 
 	// cancelCh is the slot's cooperative cancellation signal, surfaced to
 	// functors as Worker.Done(). It is closed (once) when the slot is
-	// retired, abandoned by the stall watchdog, or its run suspends.
+	// retired, abandoned by the stall watchdog, or its run suspends —
+	// always after the flag Worker.Suspending reads is raised, so a woken
+	// waiter that re-checks Suspending sees it true. Idle waits have no
+	// timer behind this channel: a path that raises the flag without
+	// closing it would park the worker until its queue closes.
 	cancelOnce sync.Once
 	cancelCh   chan struct{}
 
@@ -156,9 +161,9 @@ type workerGroup struct {
 	slots     []*groupSlot // live slots, including those draining a retirement
 	target    int          // desired extent; slots converge toward it
 	started   bool
-	closed    bool // all slots exited; resizes are no-ops from here on
-	sawSusp   bool // a non-retired slot exited with Suspended
-	sawFin    bool // a slot exited with Finished: the stage's input is exhausted
+	closed    bool        // all slots exited; resizes are no-ops from here on
+	sawSusp   bool        // a non-retired slot exited with Suspended
+	sawFin    bool        // a slot exited with Finished: the stage's input is exhausted
 	failTimes []time.Time // failure timestamps within the rolling window
 	done      chan struct{}
 }
@@ -575,7 +580,12 @@ func (g *workerGroup) stalled(s *groupSlot, age time.Duration) {
 	if !claimed {
 		return
 	}
-	s.retireAndCancel()
+	// Retire now, but close Done only once the slot is off the group's
+	// books and its replacement spawned (below): a cooperative functor
+	// woken by Done exits through slotExit, and if it got there first on a
+	// one-slot group it would close the group before the replacement
+	// existed, silently ending the stage.
+	s.retire.Store(true)
 
 	e := g.exec
 	duringDrain := g.r.suspending()
@@ -655,6 +665,7 @@ func (g *workerGroup) stalled(s *groupSlot, age time.Duration) {
 		g.closed = true
 	}
 	g.mu.Unlock()
+	s.cancel()
 	if finished {
 		e.unwatch(g)
 		close(g.done)

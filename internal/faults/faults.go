@@ -183,7 +183,7 @@ func (in *Injector) wrapFn(stage string, fn core.Functor) core.Functor {
 					return core.Suspended
 				}
 				<-w.Done() //dopevet:ignore tokenhold injected stall: blocking inside the window is the fault being simulated
-				w.End() //dopevet:ignore suspendcheck injected stall: End after abandonment is the fenced zombie path
+				w.End()    //dopevet:ignore suspendcheck injected stall: End after abandonment is the fenced zombie path
 				return core.Suspended
 			default:
 				panic(&Fault{Stage: stage, Call: n})

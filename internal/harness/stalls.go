@@ -37,10 +37,6 @@ const (
 	overUnits = 2000 // virtual-work units per item (2ms at UnitDuration)
 )
 
-// overPoll is how often blocked overload-arm workers re-check for work and
-// suspension (mirrors the apps package's queue poll).
-const overPoll = 200 * time.Microsecond
-
 // Stalls regenerates the stall-tolerance and overload-protection table: the
 // same ferret batch under deterministic injected stalls for each failure
 // policy, then a bounded-queue server at 2x overload for each queue
@@ -241,8 +237,7 @@ func overloadArm(name string, policy queue.OverloadPolicy) (*stallsResult, error
 					if w.Suspending() {
 						return core.Suspended
 					}
-					req, ok, err := q.DequeueWhile(
-						func() bool { return !w.Suspending() }, overPoll)
+					req, ok, err := q.DequeueUntil(w.Done())
 					if errors.Is(err, queue.ErrClosed) {
 						return core.Finished
 					}

@@ -19,8 +19,10 @@ import (
 //     queue → one worker → queue → N workers → queue → the consumer, all
 //     bounded at 64. One op is one item through all three queues.
 //   - QueueUnboundedDequeueWhile: a producer feeding an unbounded work
-//     queue that a task drains with DequeueWhile, as every app's outer
-//     stage does.
+//     queue that a task drains with DequeueWhile, the polling wait the
+//     benchmark's tenants still use.
+//   - QueueUnboundedDequeueUntil: the same with DequeueUntil on a done
+//     channel, as every app's outer stage waits on Worker.Done.
 //
 // The bounded cases are gated at 0 allocations and 0 bytes per op.
 
@@ -95,7 +97,9 @@ func runQueuePipe(b *testing.B) {
 	}
 }
 
-func runQueueUnboundedDequeueWhile(b *testing.B) {
+// runQueueUnbounded feeds an unbounded queue from a producer and drains it
+// with take, the consumer's wait form.
+func runQueueUnbounded(b *testing.B, take func(*queue.Queue[int]) (int, bool, error)) {
 	b.ReportAllocs()
 	q := queue.New[int](0)
 	b.ResetTimer()
@@ -110,10 +114,9 @@ func runQueueUnboundedDequeueWhile(b *testing.B) {
 		}
 		q.Close()
 	}()
-	always := func() bool { return true }
 	n := 0
 	for {
-		_, ok, err := q.DequeueWhile(always, time.Millisecond)
+		_, ok, err := take(q)
 		if err != nil {
 			break
 		}
@@ -126,6 +129,20 @@ func runQueueUnboundedDequeueWhile(b *testing.B) {
 	}
 }
 
+func runQueueUnboundedDequeueWhile(b *testing.B) {
+	always := func() bool { return true }
+	runQueueUnbounded(b, func(q *queue.Queue[int]) (int, bool, error) {
+		return q.DequeueWhile(always, time.Millisecond)
+	})
+}
+
+func runQueueUnboundedDequeueUntil(b *testing.B) {
+	done := make(chan struct{}) // a worker's Done: never closed here
+	runQueueUnbounded(b, func(q *queue.Queue[int]) (int, bool, error) {
+		return q.DequeueUntil(done)
+	})
+}
+
 // Queue runs the queue hand-off suite, five samples per case, and returns
 // its results.
 func Queue() []Result {
@@ -133,5 +150,6 @@ func Queue() []Result {
 		{"QueueSPSC64", runQueueSPSC},
 		{"QueuePipe", runQueuePipe},
 		{"QueueUnboundedDequeueWhile", runQueueUnboundedDequeueWhile},
+		{"QueueUnboundedDequeueUntil", runQueueUnboundedDequeueUntil},
 	}, 5)
 }

@@ -114,14 +114,23 @@ func runOps(t *testing.T, data []byte) {
 				m.push(next)
 				next++
 			}
-		case 4: // Dequeue
+		case 4: // Dequeue, or DequeueUntil(nil) — the same blocking form — when bit 3 is set
 			if len(m.items) == 0 && !m.closed {
 				if _, ok, err := q.TryDequeue(); ok || err != nil { // would block
 					t.Fatalf("step %d: TryDequeue on an empty queue = %v, %v", step, ok, err)
 				}
 				break
 			}
-			v, err := q.Dequeue()
+			var v int
+			var err error
+			if op&8 != 0 {
+				var ok bool
+				if v, ok, err = q.DequeueUntil(nil); ok != (err == nil) {
+					t.Fatalf("step %d: DequeueUntil(nil) = %d, %v, %v", step, v, ok, err)
+				}
+			} else {
+				v, err = q.Dequeue()
+			}
 			if len(m.items) == 0 {
 				if !errors.Is(err, ErrClosed) {
 					t.Fatalf("step %d: Dequeue on a closed, drained queue = %v", step, err)
@@ -129,8 +138,15 @@ func runOps(t *testing.T, data []byte) {
 			} else if want := m.pop(); err != nil || v != want {
 				t.Fatalf("step %d: Dequeue = %d, %v; want %d", step, v, err, want)
 			}
-		case 5: // TryDequeue
-			v, ok, err := q.TryDequeue()
+		case 5: // TryDequeue, or DequeueUntil on a closed done — the same non-blocking form — when bit 3 is set
+			var v int
+			var ok bool
+			var err error
+			if op&8 != 0 {
+				v, ok, err = q.DequeueUntil(closedDone())
+			} else {
+				v, ok, err = q.TryDequeue()
+			}
 			switch {
 			case len(m.items) > 0:
 				if want := m.pop(); !ok || err != nil || v != want {
@@ -193,6 +209,7 @@ func FuzzQueueOps(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 0, 0, 3, 4, 0, 4, 0, 4, 0, 6, 0, 4, 7, 0}) // block, cap 2: refuse, wrap, close, reopen
 	f.Add([]byte{1, 3, 0, 0, 0, 0, 0, 0, 5, 0, 0, 4, 4, 4, 4})       // shed-oldest, cap 3
 	f.Add([]byte{2, 1, 0, 0, 3, 0, 4, 4, 0, 6, 0, 5, 5})             // shed-newest, cap 1
+	f.Add([]byte{0, 3, 0, 13, 0, 12, 12, 13, 6, 12, 13})             // block, cap 3: DequeueUntil in both forms, through close
 	f.Fuzz(runOps)
 }
 
@@ -247,7 +264,11 @@ func TestMPMCExactlyOnce(t *testing.T) {
 						v, err = q.Dequeue()
 						ok = err == nil
 					case 1:
-						v, ok, err = q.DequeueWhile(func() bool { return true }, time.Millisecond)
+						if c%2 == 0 {
+							v, ok, err = q.DequeueWhile(func() bool { return true }, time.Millisecond)
+						} else {
+							v, ok, err = q.DequeueUntil(nil)
+						}
 					default:
 						if v, ok, err = q.TryDequeue(); !ok && err == nil {
 							time.Sleep(time.Microsecond) // empty: let a producer in

@@ -7,6 +7,9 @@
 // This package reproduces those semantics:
 //
 //   - blocking Enqueue/Dequeue with optional capacity bound,
+//   - DequeueUntil, a Dequeue that also gives up when a done channel
+//     closes: how a task waits for work and still sees a reconfiguration
+//     at once (it passes Worker.Done), with no polling,
 //   - O(1) Len usable as a LoadCB without taking the queue lock contended by
 //     producers and consumers (an atomic occupancy counter),
 //   - Close, which wakes all blocked consumers — the moral equivalent of the
@@ -95,19 +98,21 @@ type Queue[T any] struct {
 	limit    uint64 // capacity; MaxUint64 when unbounded
 	policy   OverloadPolicy
 	closed   bool
-	// wakeCh, when non-nil, is closed to wake DequeueWhile waiters on
-	// enqueue/close. It is created lazily by the first waiter so queues
-	// without DequeueWhile consumers pay nothing per enqueue.
+	// wakeCh, when non-nil, is closed to wake DequeueUntil/DequeueWhile
+	// waiters on enqueue/close. It is created lazily by the first waiter so
+	// queues without such consumers pay nothing per enqueue.
 	//
 	// Wakeup audit: every path that makes an item (or closure) observable —
 	// pushLocked, which Enqueue, TryEnqueue and the shed-oldest swap all go
-	// through, and Close — must call wakeLocked before releasing q.mu, or a
-	// DequeueWhile waiter sleeps a full poll period on work that is already
-	// there. Dequeue-side transitions (occupancy dropping) deliberately do
-	// not wake: waiters wait for items, and predicates that watch occupancy
-	// fall are served by the poll timeout.
-	// TestBoundedEnqueueWakesDequeueWhile is the regression test for the
-	// enqueue side.
+	// through, and Close — must call wakeLocked before releasing q.mu. A
+	// DequeueUntil waiter has no timer to fall back on, so a missed wakeup
+	// there parks it until its done channel closes; a DequeueWhile waiter
+	// sleeps a full poll period. Dequeue-side transitions (occupancy
+	// dropping) deliberately do not wake: waiters wait for items, and
+	// predicates that watch occupancy fall are served by the poll timeout.
+	// TestBoundedEnqueueWakesDequeueWhile and
+	// TestDequeueUntilWakesOnBoundedEnqueue are the regression tests for
+	// the enqueue side.
 	wakeCh chan struct{}
 
 	// Sojourn tracking: a stamped cell carries its enqueue time and its
@@ -238,7 +243,8 @@ func (q *Queue[T]) TryEnqueue(item T) (bool, error) {
 }
 
 // pushLocked writes item into the cell at tail, publishes the new
-// occupancy and wakes one blocked consumer and every DequeueWhile waiter.
+// occupancy and wakes one blocked consumer and every DequeueUntil and
+// DequeueWhile waiter.
 // Callers hold q.mu and have made sure the queue is below its limit.
 func (q *Queue[T]) pushLocked(item T) {
 	if q.tail-q.head == uint64(len(q.ring)) {
@@ -296,7 +302,8 @@ func (q *Queue[T]) stampLocked() int64 {
 	return now
 }
 
-// wakeLocked wakes all DequeueWhile waiters. Called with q.mu held.
+// wakeLocked wakes all DequeueUntil and DequeueWhile waiters. Called with
+// q.mu held.
 func (q *Queue[T]) wakeLocked() {
 	if q.wakeCh != nil {
 		close(q.wakeCh)
@@ -355,18 +362,37 @@ func (q *Queue[T]) popLocked() T {
 	return item
 }
 
-// DequeueWhile dequeues like Dequeue but gives up when keepWaiting returns
-// false. While the queue is empty it blocks on an enqueue/close wakeup
-// channel rather than busy-polling; poll is only the re-check period for
-// keepWaiting (the executive's suspension/retirement flag is not wired to
-// the queue, so it must be observed by timeout). The bool reports whether
-// an item was returned; err is ErrClosed when the queue is closed and
-// drained. DoPE task functors use this to block for work while remaining
-// responsive to the executive's reconfiguration requests.
+// DequeueUntil dequeues like Dequeue but gives up once done is closed.
+// While the queue is empty it blocks on the enqueue/close wakeup channel
+// and on done together, with no timer: the caller is woken by an item, by
+// Close, or by done, and by nothing else. An item already present is
+// returned even when done is closed, so a claimed-or-not decision is never
+// lost to a race with cancellation. A nil done never closes, which makes
+// DequeueUntil behave like Dequeue. The bool reports whether an item was
+// returned; err is ErrClosed when the queue is closed and drained. DoPE
+// task functors pass Worker.Done() so an idle task observes a
+// reconfiguration the moment the executive requests it.
+func (q *Queue[T]) DequeueUntil(done <-chan struct{}) (T, bool, error) {
+	return q.wait(done, nil, 0)
+}
+
+// DequeueWhile is the polling form of DequeueUntil, for callers whose stop
+// condition is a predicate rather than a channel: it gives up when
+// keepWaiting returns false, which it re-checks every poll (default 1 ms)
+// while the queue stays empty. Items and Close still wake it at once.
 func (q *Queue[T]) DequeueWhile(keepWaiting func() bool, poll time.Duration) (T, bool, error) {
 	if poll <= 0 {
 		poll = time.Millisecond
 	}
+	return q.wait(nil, keepWaiting, poll)
+}
+
+// wait is the one wait loop behind DequeueUntil and DequeueWhile. Each
+// round takes one locked step — take an item, or see the closure, or
+// register for the next wakeup — and then parks on the wakeup, done and,
+// when keepWaiting is set, a poll-period timer after which it re-checks the
+// predicate.
+func (q *Queue[T]) wait(done <-chan struct{}, keepWaiting func() bool, poll time.Duration) (T, bool, error) {
 	var timer *time.Timer
 	defer func() {
 		if timer != nil {
@@ -374,10 +400,8 @@ func (q *Queue[T]) DequeueWhile(keepWaiting func() bool, poll time.Duration) (T,
 		}
 	}()
 	for {
-		// One locked step per round: take an item, or see the closure, or
-		// register for the next wakeup. Registering under the same lock
-		// hold that saw the queue empty is what makes the wakeup
-		// unmissable.
+		// Registering under the same lock hold that saw the queue empty is
+		// what makes the wakeup unmissable.
 		q.mu.Lock()
 		if q.head != q.tail {
 			item := q.popLocked()
@@ -395,20 +419,26 @@ func (q *Queue[T]) DequeueWhile(keepWaiting func() bool, poll time.Duration) (T,
 		wake := q.wakeCh
 		q.mu.Unlock()
 
-		if !keepWaiting() { // caller's code: never under q.mu
-			return zero, false, nil
-		}
-		if timer == nil {
-			timer = time.NewTimer(poll)
-		} else {
-			timer.Reset(poll)
+		var tick <-chan time.Time
+		if keepWaiting != nil {
+			if !keepWaiting() { // caller's code: never under q.mu
+				return zero, false, nil
+			}
+			if timer == nil {
+				timer = time.NewTimer(poll)
+			} else {
+				timer.Reset(poll)
+			}
+			tick = timer.C
 		}
 		select {
 		case <-wake:
-			if !timer.Stop() {
+			if timer != nil && !timer.Stop() {
 				<-timer.C
 			}
-		case <-timer.C:
+		case <-done:
+			return zero, false, nil
+		case <-tick:
 		}
 	}
 }

@@ -528,3 +528,177 @@ func TestDequeueWhileStopsPredicateChange(t *testing.T) {
 		t.Fatalf("expected give-up after predicate flips, got ok=%v err=%v", ok, err)
 	}
 }
+
+// closedDone returns an already-closed done channel.
+func closedDone() <-chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}
+
+func TestDequeueUntilReturnsItemWhenDoneClosed(t *testing.T) {
+	q := New[int](0)
+	q.Enqueue(7)
+	v, ok, err := q.DequeueUntil(closedDone())
+	if !ok || err != nil || v != 7 {
+		t.Fatalf("a present item must win over a closed done: got %v %v %v", v, ok, err)
+	}
+}
+
+func TestDequeueUntilGivesUpOnEmptyWhenDoneClosed(t *testing.T) {
+	q := New[int](0)
+	_, ok, err := q.DequeueUntil(closedDone())
+	if ok || err != nil {
+		t.Fatalf("expected (zero,false,nil), got ok=%v err=%v", ok, err)
+	}
+}
+
+func TestDequeueUntilClosedQueue(t *testing.T) {
+	q := New[int](0)
+	q.Enqueue(1)
+	q.Close()
+	if v, ok, err := q.DequeueUntil(nil); !ok || err != nil || v != 1 {
+		t.Fatalf("drain failed: %v %v %v", v, ok, err)
+	}
+	// Closed and drained reports ErrClosed, whether or not done is closed.
+	for _, done := range []<-chan struct{}{nil, closedDone()} {
+		if _, ok, err := q.DequeueUntil(done); ok || !errors.Is(err, ErrClosed) {
+			t.Fatalf("closed+drained should return ErrClosed, got ok=%v err=%v", ok, err)
+		}
+	}
+}
+
+// dequeueUntilAsync runs DequeueUntil(done) on its own goroutine and
+// returns a channel of its result, so a test can assert the waiter is
+// parked before it acts.
+type untilResult struct {
+	v   int
+	ok  bool
+	err error
+}
+
+func dequeueUntilAsync(q *Queue[int], done <-chan struct{}) <-chan untilResult {
+	res := make(chan untilResult, 1)
+	go func() {
+		v, ok, err := q.DequeueUntil(done)
+		res <- untilResult{v, ok, err}
+	}()
+	return res
+}
+
+// parked asserts the waiter has not returned yet (it is blocked, not
+// spinning to a premature result).
+func parked(t *testing.T, res <-chan untilResult) {
+	t.Helper()
+	select {
+	case r := <-res:
+		t.Fatalf("DequeueUntil returned before any wakeup: %+v", r)
+	case <-time.After(5 * time.Millisecond):
+	}
+}
+
+// The three wakeup sources each end the wait on their own; nothing else
+// does — there is no timer behind them, so a missed wakeup would hang the
+// test rather than be papered over.
+func TestDequeueUntilWakesOnEnqueue(t *testing.T) {
+	q := New[int](0)
+	res := dequeueUntilAsync(q, make(chan struct{}))
+	parked(t, res)
+	q.Enqueue(9)
+	if r := <-res; !r.ok || r.err != nil || r.v != 9 {
+		t.Fatalf("got %+v", r)
+	}
+}
+
+func TestDequeueUntilWakesOnClose(t *testing.T) {
+	q := New[int](0)
+	res := dequeueUntilAsync(q, make(chan struct{}))
+	parked(t, res)
+	q.Close()
+	if r := <-res; r.ok || !errors.Is(r.err, ErrClosed) {
+		t.Fatalf("got %+v", r)
+	}
+}
+
+func TestDequeueUntilWakesOnDone(t *testing.T) {
+	q := New[int](0)
+	done := make(chan struct{})
+	res := dequeueUntilAsync(q, done)
+	parked(t, res)
+	close(done)
+	if r := <-res; r.ok || r.err != nil {
+		t.Fatalf("got %+v", r)
+	}
+	// The give-up claimed nothing.
+	q.Enqueue(1)
+	if v, ok, _ := q.TryDequeue(); !ok || v != 1 {
+		t.Fatalf("item after give-up: %v %v", v, ok)
+	}
+}
+
+// The bounded counterpart of TestBoundedEnqueueWakesDequeueWhile: the
+// enqueue of a producer that had been blocked on a full queue must wake a
+// DequeueUntil waiter, which has no poll to fall back on.
+func TestDequeueUntilWakesOnBoundedEnqueue(t *testing.T) {
+	q := New[int](1)
+	if err := q.Enqueue(1); err != nil {
+		t.Fatal(err)
+	}
+	produced := make(chan error, 1)
+	go func() {
+		produced <- q.Enqueue(2) // blocks: queue is full
+	}()
+	time.Sleep(5 * time.Millisecond) // let the producer block
+	never := make(chan struct{})
+	if v, ok, err := q.DequeueUntil(never); !ok || err != nil || v != 1 {
+		t.Fatalf("first item: got %v %v %v", v, ok, err)
+	}
+	if v, ok, err := q.DequeueUntil(never); !ok || err != nil || v != 2 {
+		t.Fatalf("second item: got %v %v %v", v, ok, err)
+	}
+	if err := <-produced; err != nil {
+		t.Fatalf("producer: %v", err)
+	}
+	// And a waiter parked on an empty bounded queue wakes on the next push.
+	res := dequeueUntilAsync(q, never)
+	parked(t, res)
+	if ok, err := q.TryEnqueue(3); !ok || err != nil {
+		t.Fatalf("TryEnqueue: %v %v", ok, err)
+	}
+	if r := <-res; !r.ok || r.err != nil || r.v != 3 {
+		t.Fatalf("got %+v", r)
+	}
+}
+
+func TestDequeueUntilManyWaitersAllDrain(t *testing.T) {
+	for _, capacity := range []int{0, 4} {
+		q := New[int](capacity)
+		const workers, items = 8, 400
+		var got atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				never := make(chan struct{})
+				for {
+					_, ok, err := q.DequeueUntil(never)
+					if err != nil {
+						return
+					}
+					if ok {
+						got.Add(1)
+					}
+				}
+			}()
+		}
+		for i := 0; i < items; i++ {
+			q.Enqueue(i)
+		}
+		q.Close()
+		wg.Wait()
+		if got.Load() != items {
+			t.Fatalf("cap %d: drained %d of %d across concurrent DequeueUntil waiters", capacity, got.Load(), items)
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 // simulator's synthesized reports.
 type captureMechanism struct{ last *core.Report }
 
-func (c *captureMechanism) Name() string                        { return "capture" }
+func (c *captureMechanism) Name() string                            { return "capture" }
 func (c *captureMechanism) Reconfigure(r *core.Report) *core.Config { c.last = r; return nil }
 
 // TestGradientBeatsWorkQueueMechanismsOnFerret is the mechanism-level

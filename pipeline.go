@@ -1,8 +1,6 @@
 package dope
 
 import (
-	"time"
-
 	"dope/internal/core"
 	"dope/internal/queue"
 )
@@ -47,9 +45,6 @@ type PipelineOptions struct {
 	// QueueCap bounds each inter-stage queue (default 8). Small caps keep
 	// reconfiguration drains cheap and load signals honest.
 	QueueCap int
-	// Poll is the head stage's suspension-check interval while idle
-	// (default 200µs).
-	Poll time.Duration
 	// Fused, when true, also declares a fused alternative that runs all
 	// stages back to back in one parallel task — the TaskDescriptor choice
 	// TBF's task fusion needs.
@@ -85,9 +80,6 @@ func ChannelPipeline[T any](name string, src <-chan T, stages []PipeStage[T], do
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = 8
 	}
-	if opts.Poll <= 0 {
-		opts.Poll = 200 * time.Microsecond
-	}
 	// Persistent inter-stage queues: qs[i] feeds stage i+1.
 	n := len(stages)
 	qs := make([]*queue.Queue[T], n-1)
@@ -106,31 +98,16 @@ func ChannelPipeline[T any](name string, src <-chan T, stages []PipeStage[T], do
 		}
 	}
 
-	// recvSrc performs a suspension-aware receive from the source channel.
+	// recvSrc performs a suspension-aware receive from the source channel:
+	// it blocks on src and the worker's Done channel together, so a
+	// reconfiguration ends the wait at once and nothing else wakes it.
 	recvSrc := func(w *Worker) (T, bool, bool) {
-		var zero T
-		for {
-			select {
-			case v, ok := <-src:
-				if !ok {
-					return zero, false, true // stream ended
-				}
-				return v, true, false
-			default:
-			}
-			if w.Suspending() {
-				return zero, false, false
-			}
-			// Blocking receive with a poll bound so suspension stays
-			// observable.
-			select {
-			case v, ok := <-src:
-				if !ok {
-					return zero, false, true
-				}
-				return v, true, false
-			case <-time.After(opts.Poll):
-			}
+		select {
+		case v, ok := <-src:
+			return v, ok, !ok
+		case <-w.Done():
+			var zero T
+			return zero, false, false
 		}
 	}
 
