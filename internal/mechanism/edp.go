@@ -20,14 +20,9 @@ type EDP struct {
 	Threads int
 	// Path selects the nest to tune; empty means the root nest.
 	Path string
-	// MinSamples gates acting before the monitors have signal (default 8).
-	MinSamples uint64
 	// SettleTicks is how many control ticks to wait after a change before
 	// judging it (default 3).
 	SettleTicks int
-	// Tolerance is the relative objective change treated as noise
-	// (default 0.02).
-	Tolerance float64
 
 	seen stageSet
 	edpState
@@ -49,24 +44,15 @@ func (m *EDP) Name() string { return "EDP" }
 
 // Reconfigure implements core.Mechanism.
 func (m *EDP) Reconfigure(r *core.Report) *core.Config {
-	nest := r.Root
-	if m.Path != "" {
-		nest = r.Nest(m.Path)
-	}
+	nest := nestAt(r, m.Path)
 	if nest == nil {
 		return nil
 	}
 	if m.seen.changed(nest) {
 		m.edpState = edpState{}
 	}
-	minSamples := m.MinSamples
-	if minSamples == 0 {
-		minSamples = 8
-	}
-	for _, st := range nest.Stages {
-		if st.Iterations < minSamples {
-			return nil
-		}
+	if !warm(nest, minSamples) {
+		return nil
 	}
 	if m.settle > 0 {
 		m.settle--
@@ -76,25 +62,12 @@ func (m *EDP) Reconfigure(r *core.Report) *core.Config {
 		m.started = true
 		m.growing = true
 	}
-	threads := m.Threads
-	if threads <= 0 {
-		threads = r.Contexts
-	}
 	obj := m.objective(r, nest)
 	cur := currentExtents(nest)
 
-	cfg := r.Config
-	target := cfg
-	if m.Path != "" && nest != r.Root {
-		target = childConfigAt(cfg, r.Root, nest)
-		if target == nil {
-			return nil
-		}
-	}
-
 	if m.pending {
 		m.pending = false
-		if obj < m.lastObj*(1-m.tolerance()) && m.lastExtents != nil {
+		if obj < m.lastObj*(1-noise) && m.lastExtents != nil {
 			// The step hurt the energy-delay product: revert and flip the
 			// climb direction. Two consecutive failed directions mean the
 			// optimum is here; hold.
@@ -102,10 +75,8 @@ func (m *EDP) Reconfigure(r *core.Report) *core.Config {
 			m.stalls++
 			next := append([]int(nil), m.lastExtents...)
 			m.lastExtents = nil
-			m.settle = m.settleTicks()
-			target.Alt = nest.AltIndex
-			target.Extents = next
-			return cfg
+			m.settle = settle(m.SettleTicks)
+			return install(r, nest, nest.AltIndex, next)
 		}
 		m.lastObj = obj
 		m.stalls = 0
@@ -119,24 +90,21 @@ func (m *EDP) Reconfigure(r *core.Report) *core.Config {
 
 	var next []int
 	if m.growing {
-		fdp := &FDP{Threads: threads}
-		next = fdp.step(nest.Stages, cur, threads)
+		next = climb(nest.Stages, cur, budget(m.Threads, r))
 		if next == nil {
 			m.growing = false
 		}
 	}
 	if next == nil {
-		next = m.shrink(nest.Stages, cur)
+		next = shrink(nest.Stages, cur)
 	}
 	if next == nil {
 		return nil
 	}
 	m.pending = true
 	m.lastExtents = cur
-	m.settle = m.settleTicks()
-	target.Alt = nest.AltIndex
-	target.Extents = clampToSpec(next, nest.Stages)
-	return cfg
+	m.settle = settle(m.SettleTicks)
+	return install(r, nest, nest.AltIndex, clampToSpec(next, nest.Stages))
 }
 
 // objective returns throughput²/power (or throughput² without a power
@@ -148,42 +116,4 @@ func (m *EDP) objective(r *core.Report, nest *core.NestReport) float64 {
 		return rate * rate
 	}
 	return rate * rate / power
-}
-
-// shrink removes one worker from the most over-provisioned PAR stage.
-func (m *EDP) shrink(stages []core.StageReport, cur []int) []int {
-	weights := execWeights(stages)
-	fast, bestC := -1, -1.0
-	for i, st := range stages {
-		if st.Type != core.PAR || cur[i] <= 1 {
-			continue
-		}
-		c := float64(cur[i])
-		if weights[i] > 0 {
-			c = float64(cur[i]) / weights[i]
-		}
-		if c > bestC {
-			fast, bestC = i, c
-		}
-	}
-	if fast < 0 {
-		return nil
-	}
-	next := append([]int(nil), cur...)
-	next[fast]--
-	return next
-}
-
-func (m *EDP) settleTicks() int {
-	if m.SettleTicks > 0 {
-		return m.SettleTicks
-	}
-	return 3
-}
-
-func (m *EDP) tolerance() float64 {
-	if m.Tolerance > 0 {
-		return m.Tolerance
-	}
-	return 0.02
 }

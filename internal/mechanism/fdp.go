@@ -17,8 +17,6 @@ type FDP struct {
 	Threads int
 	// Path selects the nest to tune; empty means the root nest.
 	Path string
-	// MinSamples gates acting before the monitors have signal (default 8).
-	MinSamples uint64
 
 	seen stageSet
 	fdpState
@@ -38,39 +36,17 @@ func (m *FDP) Name() string { return "FDP" }
 
 // Reconfigure implements core.Mechanism.
 func (m *FDP) Reconfigure(r *core.Report) *core.Config {
-	nest := r.Root
-	if m.Path != "" {
-		nest = r.Nest(m.Path)
-	}
+	nest := nestAt(r, m.Path)
 	if nest == nil {
 		return nil
 	}
 	if m.seen.changed(nest) {
 		m.fdpState = fdpState{}
 	}
-	minSamples := m.MinSamples
-	if minSamples == 0 {
-		minSamples = 8
-	}
-	for _, st := range nest.Stages {
-		if st.Iterations < minSamples {
-			return nil
-		}
-	}
-	threads := m.Threads
-	if threads <= 0 {
-		threads = r.Contexts
+	if !warm(nest, minSamples) {
+		return nil
 	}
 	rate := pipelineRate(nest.Stages)
-
-	cfg := r.Config
-	target := cfg
-	if m.Path != "" && nest != r.Root {
-		target = childConfigAt(cfg, r.Root, nest)
-		if target == nil {
-			return nil
-		}
-	}
 	cur := currentExtents(nest)
 
 	if m.pending {
@@ -82,9 +58,7 @@ func (m *FDP) Reconfigure(r *core.Report) *core.Config {
 			// reflects the regressed configuration.
 			m.stalled = true
 			m.stallRate = -1
-			target.Alt = nest.AltIndex
-			target.Extents = append([]int(nil), m.lastExtents...)
-			return cfg
+			return install(r, nest, nest.AltIndex, append([]int(nil), m.lastExtents...))
 		}
 		m.lastRate = rate
 	}
@@ -104,111 +78,11 @@ func (m *FDP) Reconfigure(r *core.Report) *core.Config {
 		m.lastRate = rate
 	}
 
-	next := m.step(nest.Stages, cur, threads)
+	next := climb(nest.Stages, cur, budget(m.Threads, r))
 	if next == nil {
 		return nil
 	}
 	m.lastExtents = cur
 	m.pending = true
-	target.Alt = nest.AltIndex
-	target.Extents = next
-	return cfg
-}
-
-// step proposes the next hill-climbing move, or nil when no move exists.
-func (m *FDP) step(stages []core.StageReport, cur []int, budget int) []int {
-	weights := execWeights(stages)
-	slow := bottleneck(stages, cur, weights)
-	if slow < 0 {
-		return nil
-	}
-	next := append([]int(nil), cur...)
-	if stages[slow].MaxDoP > 0 && cur[slow] >= stages[slow].MaxDoP {
-		return nil
-	}
-	if sumExtents(cur) < budget {
-		next[slow]++
-		return clampToSpec(next, stages)
-	}
-	// Budget exhausted: move one worker from the fastest PAR stage.
-	fast, bestC := -1, -1.0
-	for i, st := range stages {
-		if st.Type != core.PAR || cur[i] <= 1 || i == slow {
-			continue
-		}
-		if weights[i] <= 0 {
-			continue
-		}
-		c := float64(cur[i]) / weights[i]
-		if c > bestC {
-			fast, bestC = i, c
-		}
-	}
-	if fast < 0 {
-		return nil
-	}
-	next[fast]--
-	next[slow]++
-	return clampToSpec(next, stages)
-}
-
-// bottleneck returns the index of the PAR-growable stage with the lowest
-// capacity, or -1.
-func bottleneck(stages []core.StageReport, extents []int, weights []float64) int {
-	best, bestC := -1, 0.0
-	for i, st := range stages {
-		if st.Type != core.PAR || weights[i] <= 0 {
-			continue
-		}
-		c := float64(extents[i]) / weights[i]
-		if best < 0 || c < bestC {
-			best, bestC = i, c
-		}
-	}
-	return best
-}
-
-// pipelineRate estimates pipeline throughput as the minimum stage capacity.
-func pipelineRate(stages []core.StageReport) float64 {
-	minC := -1.0
-	for _, st := range stages {
-		t := st.ExecTime
-		if t <= 0 {
-			t = st.MeanExecTime
-		}
-		if t <= 0 {
-			continue
-		}
-		c := float64(st.Extent) / t
-		if minC < 0 || c < minC {
-			minC = c
-		}
-	}
-	if minC < 0 {
-		return 0
-	}
-	return minC
-}
-
-// currentExtents reads the active extent vector from a nest report.
-func currentExtents(nest *core.NestReport) []int {
-	out := make([]int, len(nest.Stages))
-	for i := range nest.Stages {
-		out[i] = nest.Stages[i].Extent
-	}
-	return out
-}
-
-func relDiff(a, b float64) float64 {
-	if b == 0 {
-		if a == 0 {
-			return 0
-		}
-		return 1
-	}
-	d := (a - b) / b
-	if d < 0 {
-		d = -d
-	}
-	return d
+	return install(r, nest, nest.AltIndex, next)
 }

@@ -26,18 +26,21 @@ type Gradient struct {
 	// Threads is the hardware-context budget; zero means the executive's
 	// context count.
 	Threads int
-	// MinGain is the minimum relative model-predicted throughput gain that
-	// justifies moving a context (default 0.01 = 1%). Moves predicted below
-	// it are noise; standing still is free.
-	MinGain float64
-	// Cooldown is how many control ticks to sit out after installing a
-	// move, letting the smoothed estimates absorb it before the next
-	// decision (default 2).
-	Cooldown int
 
 	seen stageSet
 	gradientState
 }
+
+const (
+	// gradientMinGain is the minimum relative model-predicted throughput
+	// gain that justifies moving a context. Moves predicted below it are
+	// noise; standing still is free.
+	gradientMinGain = 0.01
+	// gradientCooldown is how many control ticks to sit out after
+	// installing a move, letting the smoothed estimates absorb it before
+	// the next decision.
+	gradientCooldown = 2
+)
 
 // gradientState holds stage indices, so it is per stage set (see stageSet).
 type gradientState struct {
@@ -62,10 +65,7 @@ func (m *Gradient) Reconfigure(r *core.Report) *core.Config {
 		m.gradientState = gradientState{}
 	}
 	stages := r.Root.Stages
-	threads := m.Threads
-	if threads <= 0 {
-		threads = r.Contexts
-	}
+	threads := budget(m.Threads, r)
 	extents := make([]int, len(stages))
 	for i := range stages {
 		extents[i] = stages[i].Extent
@@ -79,8 +79,8 @@ func (m *Gradient) Reconfigure(r *core.Report) *core.Config {
 		m.lastFrom, m.lastTo = -1, -1
 		if sumExtents(extents) < threads {
 			m.warm = true
-			m.cool = m.cooldown()
-			return m.install(r, distribute(threads, stages, execWeights(stages)))
+			m.cool = gradientCooldown
+			return m.apply(r, distribute(threads, stages, execWeights(stages)))
 		}
 		m.warm = true
 	}
@@ -94,10 +94,6 @@ func (m *Gradient) Reconfigure(r *core.Report) *core.Config {
 	base := monitor.WhatIfThroughput(in, extents)
 	if base <= 0 {
 		return nil // not enough observation to score moves yet
-	}
-	minGain := m.MinGain
-	if minGain <= 0 {
-		minGain = 0.01
 	}
 
 	// Score every single-context move donor→recipient. SEQ stages and
@@ -130,9 +126,9 @@ func (m *Gradient) Reconfigure(r *core.Report) *core.Config {
 	// A move must clear the gain threshold; reversing the previous move
 	// must clear twice the threshold, so measurement jitter cannot walk a
 	// context back and forth between two near-balanced stages.
-	need := 1 + minGain
+	need := 1 + gradientMinGain
 	if bestFrom == m.lastTo && bestTo == m.lastFrom {
-		need = 1 + 2*minGain
+		need = 1 + 2*gradientMinGain
 	}
 	if bestX < base*need {
 		return nil
@@ -140,19 +136,12 @@ func (m *Gradient) Reconfigure(r *core.Report) *core.Config {
 	extents[bestFrom]--
 	extents[bestTo]++
 	m.lastFrom, m.lastTo = bestFrom, bestTo
-	m.cool = m.cooldown()
-	return m.install(r, extents)
+	m.cool = gradientCooldown
+	return m.apply(r, extents)
 }
 
-func (m *Gradient) cooldown() int {
-	if m.Cooldown > 0 {
-		return m.Cooldown
-	}
-	return 2
-}
-
-// install writes the extent vector into the report's configuration copy.
-func (m *Gradient) install(r *core.Report, extents []int) *core.Config {
+// apply writes the extent vector into the report's configuration copy.
+func (m *Gradient) apply(r *core.Report, extents []int) *core.Config {
 	cfg := r.Config
 	if cfg == nil {
 		cfg = &core.Config{}

@@ -18,11 +18,219 @@
 //   - TPC — Throughput under a Power budget (§7.3): closed-loop controller
 //     that ramps DoP until the watt budget binds, then explores
 //     configurations of equal extent and settles on the best.
+//   - LoadProportional — the Figure 12 policy: the thread budget split
+//     across stages in proportion to their queue occupancy.
+//   - EDP — the administrator-invented goal of §4, "minimize the
+//     energy-delay product": hill climbing on throughput²/power.
+//   - Gradient — single-context moves scored by the what-if profiler's
+//     queueing model.
+//
+// The plumbing every mechanism shares — resolving the tuned nest, gating on
+// samples, defaulting the thread budget, installing a decision into the
+// configuration tree, the climb and shrink steps — lives in this file, once;
+// the mechanism files hold only their policies.
 package mechanism
 
 import (
 	"dope/internal/core"
 )
+
+const (
+	// minSamples is how many iterations every stage of a nest must have run
+	// before a mechanism acts on its measurements: acting on noise
+	// destabilizes the pipeline.
+	minSamples = 8
+	// noise is the relative change of a measured objective (throughput,
+	// energy-delay) that hill-climbing controllers treat as noise.
+	noise = 0.02
+)
+
+// nestAt resolves a mechanism's Path to the nest it tunes; an empty path
+// means the root nest. It returns nil when the path names no nest.
+func nestAt(r *core.Report, path string) *core.NestReport {
+	if path == "" {
+		return r.Root
+	}
+	return r.Nest(path)
+}
+
+// warm reports whether every stage of nest has run at least n iterations.
+func warm(nest *core.NestReport, n uint64) bool {
+	for _, st := range nest.Stages {
+		if st.Iterations < n {
+			return false
+		}
+	}
+	return true
+}
+
+// budget returns a mechanism's thread budget: threads when set, else the
+// executive's context count.
+func budget(threads int, r *core.Report) int {
+	if threads > 0 {
+		return threads
+	}
+	return r.Contexts
+}
+
+// settle returns how many control ticks to wait after a change before
+// judging it: ticks when set, else 3.
+func settle(ticks int) int {
+	if ticks > 0 {
+		return ticks
+	}
+	return 3
+}
+
+// install writes a decision for nest into the report's configuration copy,
+// materializing the path down to nest, and returns the whole configuration.
+func install(r *core.Report, nest *core.NestReport, alt int, extents []int) *core.Config {
+	target := childConfigAt(r.Config, r.Root, nest)
+	target.Alt = alt
+	target.Extents = extents
+	return r.Config
+}
+
+// childConfigAt walks the config tree along the report path from root to
+// nest, materializing nodes as needed, and returns the config node for
+// nest.
+func childConfigAt(cfg *core.Config, root, nest *core.NestReport) *core.Config {
+	// Paths are slash-joined with the root name first.
+	if len(nest.Path) <= len(root.Path) {
+		return cfg
+	}
+	rel := nest.Path[len(root.Path)+1:]
+	cur := cfg
+	for {
+		i := 0
+		for i < len(rel) && rel[i] != '/' {
+			i++
+		}
+		name := rel[:i]
+		next := cur.Child(name)
+		if next == nil {
+			next = &core.Config{}
+			cur.SetChild(name, next)
+		}
+		cur = next
+		if i == len(rel) {
+			return cur
+		}
+		rel = rel[i+1:]
+	}
+}
+
+// climb proposes FDP's next hill-climbing move, or nil when none exists:
+// one more worker for the bottleneck stage (the PAR stage with the lowest
+// extent/execTime) while the budget allows, else one worker moved to it
+// from the most over-provisioned PAR stage.
+func climb(stages []core.StageReport, cur []int, threads int) []int {
+	weights := execWeights(stages)
+	slow := bottleneck(stages, cur, weights)
+	if slow < 0 {
+		return nil
+	}
+	next := append([]int(nil), cur...)
+	if stages[slow].MaxDoP > 0 && cur[slow] >= stages[slow].MaxDoP {
+		return nil
+	}
+	if sumExtents(cur) < threads {
+		next[slow]++
+		return clampToSpec(next, stages)
+	}
+	// Budget exhausted: move one worker from the fastest PAR stage.
+	fast, bestC := -1, -1.0
+	for i, st := range stages {
+		if st.Type != core.PAR || cur[i] <= 1 || i == slow {
+			continue
+		}
+		if weights[i] <= 0 {
+			continue
+		}
+		c := float64(cur[i]) / weights[i]
+		if c > bestC {
+			fast, bestC = i, c
+		}
+	}
+	if fast < 0 {
+		return nil
+	}
+	next[fast]--
+	next[slow]++
+	return clampToSpec(next, stages)
+}
+
+// shrink removes one worker from the most over-provisioned PAR stage, or
+// returns nil when every PAR stage is at one worker.
+func shrink(stages []core.StageReport, cur []int) []int {
+	weights := execWeights(stages)
+	fast, bestC := -1, -1.0
+	for i, st := range stages {
+		if st.Type != core.PAR || cur[i] <= 1 {
+			continue
+		}
+		c := float64(cur[i])
+		if weights[i] > 0 {
+			c = float64(cur[i]) / weights[i]
+		}
+		if c > bestC {
+			fast, bestC = i, c
+		}
+	}
+	if fast < 0 {
+		return nil
+	}
+	next := append([]int(nil), cur...)
+	next[fast]--
+	return next
+}
+
+// bottleneck returns the index of the PAR-growable stage with the lowest
+// capacity, or -1.
+func bottleneck(stages []core.StageReport, extents []int, weights []float64) int {
+	best, bestC := -1, 0.0
+	for i, st := range stages {
+		if st.Type != core.PAR || weights[i] <= 0 {
+			continue
+		}
+		c := float64(extents[i]) / weights[i]
+		if best < 0 || c < bestC {
+			best, bestC = i, c
+		}
+	}
+	return best
+}
+
+// pipelineRate estimates pipeline throughput as the minimum stage capacity.
+func pipelineRate(stages []core.StageReport) float64 {
+	minC := -1.0
+	for _, st := range stages {
+		t := st.ExecTime
+		if t <= 0 {
+			t = st.MeanExecTime
+		}
+		if t <= 0 {
+			continue
+		}
+		c := float64(st.Extent) / t
+		if minC < 0 || c < minC {
+			minC = c
+		}
+	}
+	if minC < 0 {
+		return 0
+	}
+	return minC
+}
+
+// currentExtents reads the active extent vector from a nest report.
+func currentExtents(nest *core.NestReport) []int {
+	out := make([]int, len(nest.Stages))
+	for i := range nest.Stages {
+		out[i] = nest.Stages[i].Extent
+	}
+	return out
+}
 
 // distribute splits a thread budget over the stages of one alternative:
 // every stage gets at least one worker, SEQ stages get exactly one, and the
@@ -183,6 +391,39 @@ func serverShape(r *core.Report) (outerStage int, inner *core.NestReport, ok boo
 	return 0, nil, false
 }
 
+// serverConfig builds the canonical server configuration: the outer stage
+// gets threads/extent workers (at least one), every other root stage one;
+// the inner nest runs its most parallel alternative over extent workers
+// when par is set, else its most sequential alternative at extent 1.
+func serverConfig(r *core.Report, outerIdx int, inner *core.NestReport, threads, extent int, par bool) *core.Config {
+	cfg := r.Config
+	innerCfg := cfg.Child(inner.Name)
+	if innerCfg == nil {
+		innerCfg = &core.Config{}
+		cfg.SetChild(inner.Name, innerCfg)
+	}
+	cfg.Alt = 0
+	cfg.Extents = make([]int, len(r.Root.Stages))
+	for i := range cfg.Extents {
+		cfg.Extents[i] = 1
+	}
+	cfg.Extents[outerIdx] = max(1, threads/extent)
+	if !par {
+		seq := seqAltIndex(inner.Spec)
+		innerCfg.Alt = seq
+		innerCfg.Extents = distribute(1, stageReportsFor(inner.Spec.Alts[seq]), nil)
+		return cfg
+	}
+	alt := parAltIndex(inner.Spec)
+	innerCfg.Alt = alt
+	stages := inner.Stages
+	if inner.AltIndex != alt {
+		stages = stageReportsFor(inner.Spec.Alts[alt])
+	}
+	innerCfg.Extents = distribute(extent, stages, execWeights(stages))
+	return cfg
+}
+
 // stageReportsFor synthesizes StageReports for an alternative that is not
 // currently active (so the monitor has no data keyed to it yet), carrying
 // the static spec fields mechanisms need for distribution.
@@ -208,4 +449,19 @@ func sumExtents(e []int) int {
 		s += v
 	}
 	return s
+}
+
+// relDiff returns |a-b|/|b|, with 1 for any change from zero.
+func relDiff(a, b float64) float64 {
+	if b == 0 {
+		if a == 0 {
+			return 0
+		}
+		return 1
+	}
+	d := (a - b) / b
+	if d < 0 {
+		d = -d
+	}
+	return d
 }

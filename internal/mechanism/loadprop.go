@@ -15,34 +15,19 @@ type LoadProportional struct {
 	Threads int
 	// Path selects the nest to balance; empty means the root nest.
 	Path string
-	// MinSamples gates acting before the monitors have signal (default 4).
-	MinSamples uint64
 }
+
+// loadMinSamples is LoadProportional's sample gate, half of minSamples.
+const loadMinSamples = 4
 
 // Name implements core.Mechanism.
 func (m *LoadProportional) Name() string { return "load-proportional" }
 
 // Reconfigure implements core.Mechanism.
 func (m *LoadProportional) Reconfigure(r *core.Report) *core.Config {
-	nest := r.Root
-	if m.Path != "" {
-		nest = r.Nest(m.Path)
-	}
-	if nest == nil {
+	nest := nestAt(r, m.Path)
+	if nest == nil || !warm(nest, loadMinSamples) {
 		return nil
-	}
-	minSamples := m.MinSamples
-	if minSamples == 0 {
-		minSamples = 4
-	}
-	for _, st := range nest.Stages {
-		if st.Iterations < minSamples {
-			return nil
-		}
-	}
-	threads := m.Threads
-	if threads <= 0 {
-		threads = r.Contexts
 	}
 	// Additive smoothing: an instantaneously empty queue must not starve
 	// its stage to a single worker (queue occupancies swing on the control
@@ -51,15 +36,5 @@ func (m *LoadProportional) Reconfigure(r *core.Report) *core.Config {
 	for i, st := range nest.Stages {
 		weights[i] = st.Load + 1
 	}
-	cfg := r.Config
-	target := cfg
-	if m.Path != "" && nest != r.Root {
-		target = childConfigAt(cfg, r.Root, nest)
-		if target == nil {
-			return nil
-		}
-	}
-	target.Alt = nest.AltIndex
-	target.Extents = distribute(threads, nest.Stages, weights)
-	return cfg
+	return install(r, nest, nest.AltIndex, distribute(budget(m.Threads, r), nest.Stages, weights))
 }

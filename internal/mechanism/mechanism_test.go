@@ -524,6 +524,22 @@ func TestSEDANoChangeReturnsNil(t *testing.T) {
 	}
 }
 
+// TestSEDALowWaterDefaultsToOne pins the documented default: with LowWater
+// unset, a stage whose load sits below 1 gives a worker back.
+func TestSEDALowWaterDefaultsToOne(t *testing.T) {
+	m := &SEDA{HighWater: 4}
+	exec := []float64{0.001, 0.002, 0.002, 0.002, 0.002, 0.001}
+	loads := []float64{2, 0.2, 2, 2, 2, 2}
+	rep := pipelineReport(24, exec, []int{1, 3, 2, 2, 2, 1}, loads)
+	cfg := m.Reconfigure(rep)
+	if cfg == nil {
+		t.Fatal("idle stage kept its workers: LowWater did not default to 1")
+	}
+	if cfg.Extents[1] != 2 {
+		t.Fatalf("idle stage should shrink from 3 to 2: %v", cfg.Extents)
+	}
+}
+
 // --- TPC ------------------------------------------------------------------------
 
 func TestTPCRampsUntilPowerBinds(t *testing.T) {

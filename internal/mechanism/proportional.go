@@ -22,12 +22,8 @@ func (p *Proportional) Reconfigure(r *core.Report) *core.Config {
 	if r.Root == nil {
 		return nil
 	}
-	budget := p.Threads
-	if budget <= 0 {
-		budget = r.Contexts
-	}
 	cfg := r.Config
-	p.assign(r.Root, cfg, budget)
+	p.assign(r.Root, cfg, budget(p.Threads, r))
 	return cfg
 }
 

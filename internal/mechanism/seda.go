@@ -30,10 +30,7 @@ func (m *SEDA) Name() string { return "SEDA" }
 
 // Reconfigure implements core.Mechanism.
 func (m *SEDA) Reconfigure(r *core.Report) *core.Config {
-	nest := r.Root
-	if m.Path != "" {
-		nest = r.Nest(m.Path)
-	}
+	nest := nestAt(r, m.Path)
 	if nest == nil {
 		return nil
 	}
@@ -42,22 +39,10 @@ func (m *SEDA) Reconfigure(r *core.Report) *core.Config {
 		high = 4
 	}
 	low := m.LowWater
-	if low < 0 {
+	if low <= 0 {
 		low = 1
 	}
-	poolCap := m.PerStageCap
-	if poolCap <= 0 {
-		poolCap = r.Contexts
-	}
-
-	cfg := r.Config
-	target := cfg
-	if m.Path != "" && nest != r.Root {
-		target = childConfigAt(cfg, r.Root, nest)
-		if target == nil {
-			return nil
-		}
-	}
+	poolCap := budget(m.PerStageCap, r)
 	cur := currentExtents(nest)
 	changed := false
 	for i, st := range nest.Stages {
@@ -76,7 +61,5 @@ func (m *SEDA) Reconfigure(r *core.Report) *core.Config {
 	if !changed {
 		return nil
 	}
-	target.Alt = nest.AltIndex
-	target.Extents = clampToSpec(cur, nest.Stages)
-	return cfg
+	return install(r, nest, nest.AltIndex, clampToSpec(cur, nest.Stages))
 }

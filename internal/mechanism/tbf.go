@@ -27,10 +27,6 @@ type TBF struct {
 	FusionThreshold float64
 	// DisableFusion turns TBF into the paper's DoPE-TB baseline.
 	DisableFusion bool
-	// MinSamples is how many iterations each stage must have before the
-	// mechanism acts (defaults to 8); acting on noise destabilizes the
-	// pipeline.
-	MinSamples uint64
 }
 
 // Name implements core.Mechanism.
@@ -43,35 +39,11 @@ func (m *TBF) Name() string {
 
 // Reconfigure implements core.Mechanism.
 func (m *TBF) Reconfigure(r *core.Report) *core.Config {
-	nest := r.Root
-	if m.Path != "" {
-		nest = r.Nest(m.Path)
-	}
-	if nest == nil {
+	nest := nestAt(r, m.Path)
+	if nest == nil || !warm(nest, minSamples) {
 		return nil
 	}
-	minSamples := m.MinSamples
-	if minSamples == 0 {
-		minSamples = 8
-	}
-	for _, st := range nest.Stages {
-		if st.Iterations < minSamples {
-			return nil // not enough signal yet
-		}
-	}
-	threads := m.Threads
-	if threads <= 0 {
-		threads = r.Contexts
-	}
-	cfg := r.Config
-	target := cfg
-	if m.Path != "" && nest != r.Root {
-		target = childConfigAt(cfg, r.Root, nest)
-		if target == nil {
-			return nil
-		}
-	}
-
+	threads := budget(m.Threads, r)
 	weights := execWeights(nest.Stages)
 	extents := distribute(threads, nest.Stages, weights)
 
@@ -79,10 +51,8 @@ func (m *TBF) Reconfigure(r *core.Report) *core.Config {
 		if m.imbalance(nest.Stages, extents, weights) > m.threshold() {
 			fused := seqAltIndex(nest.Spec)
 			if fused != nest.AltIndex {
-				target.Alt = fused
 				fstages := stageReportsFor(nest.Spec.Alts[fused])
-				target.Extents = distribute(threads, fstages, nil)
-				return cfg
+				return install(r, nest, fused, distribute(threads, fstages, nil))
 			}
 		}
 	}
@@ -94,9 +64,7 @@ func (m *TBF) Reconfigure(r *core.Report) *core.Config {
 	if maxAbsDiff(extents, currentExtents(nest)) < 2 {
 		return nil
 	}
-	target.Alt = nest.AltIndex
-	target.Extents = extents
-	return cfg
+	return install(r, nest, nest.AltIndex, extents)
 }
 
 // maxAbsDiff returns the largest per-index absolute difference; length
@@ -148,33 +116,4 @@ func (m *TBF) imbalance(stages []core.StageReport, extents []int, weights []floa
 		return 0
 	}
 	return 1 - minC/maxC
-}
-
-// childConfigAt walks the config tree along the report path from root to
-// nest, materializing nodes as needed, and returns the config node for
-// nest.
-func childConfigAt(cfg *core.Config, root, nest *core.NestReport) *core.Config {
-	// Paths are slash-joined with the root name first.
-	if len(nest.Path) <= len(root.Path) {
-		return cfg
-	}
-	rel := nest.Path[len(root.Path)+1:]
-	cur := cfg
-	for {
-		i := 0
-		for i < len(rel) && rel[i] != '/' {
-			i++
-		}
-		name := rel[:i]
-		next := cur.Child(name)
-		if next == nil {
-			next = &core.Config{}
-			cur.SetChild(name, next)
-		}
-		cur = next
-		if i == len(rel) {
-			return cur
-		}
-		rel = rel[i+1:]
-	}
 }

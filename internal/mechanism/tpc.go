@@ -36,9 +36,6 @@ type TPC struct {
 	// before judging its effect, letting the monitors' moving averages
 	// catch up with the new configuration (default 3).
 	SettleTicks int
-	// RateTolerance is the relative throughput drop treated as noise when
-	// deciding whether a ramp step helped (default 0.02).
-	RateTolerance float64
 
 	seen stageSet
 	tpcState
@@ -85,24 +82,19 @@ func (m *TPC) Phase() string {
 
 // Reconfigure implements core.Mechanism.
 func (m *TPC) Reconfigure(r *core.Report) *core.Config {
-	nest := r.Root
-	if m.Path != "" {
-		nest = r.Nest(m.Path)
-	}
+	nest := nestAt(r, m.Path)
 	if nest == nil {
 		return nil
 	}
 	if m.seen.changed(nest) {
 		m.tpcState = tpcState{}
 	}
-	minSamples := m.MinSamples
-	if minSamples == 0 {
-		minSamples = 8
+	gate := m.MinSamples
+	if gate == 0 {
+		gate = minSamples
 	}
-	for _, st := range nest.Stages {
-		if st.Iterations < minSamples {
-			return nil
-		}
+	if !warm(nest, gate) {
+		return nil
 	}
 	if m.settle > 0 {
 		// A change was just applied; let the monitors settle before
@@ -117,10 +109,6 @@ func (m *TPC) Reconfigure(r *core.Report) *core.Config {
 	if err != nil {
 		power = 0 // no power feature registered: behave as unconstrained
 	}
-	threads := m.Threads
-	if threads <= 0 {
-		threads = r.Contexts
-	}
 	rate := pipelineRate(nest.Stages)
 	cur := currentExtents(nest)
 	sig := extentSig(cur)
@@ -130,15 +118,6 @@ func (m *TPC) Reconfigure(r *core.Report) *core.Config {
 		m.bestExtents = append([]int(nil), cur...)
 	}
 
-	cfg := r.Config
-	target := cfg
-	if m.Path != "" && nest != r.Root {
-		target = childConfigAt(cfg, r.Root, nest)
-		if target == nil {
-			return nil
-		}
-	}
-
 	overBudget := m.Budget > 0 && power > m.Budget
 	var next []int
 	switch m.phase {
@@ -146,29 +125,28 @@ func (m *TPC) Reconfigure(r *core.Report) *core.Config {
 		switch {
 		case overBudget:
 			// Retreat one step and start exploring at the reduced total.
-			next = m.retreat(nest.Stages, cur)
+			next = shrink(nest.Stages, cur)
 			m.phase = tpcExplore
 			m.explored = 0
-		case m.rampPending && rate < m.rampLastRate*(1-m.rateTolerance()):
+		case m.rampPending && rate < m.rampLastRate*(1-noise):
 			// The last grant regressed throughput (§7.3: increment "if
 			// throughput improves"): stop ramping, start exploring.
 			m.rampPending = false
 			m.phase = tpcExplore
 			m.explored = 0
-		case m.rampPending && rate < m.rampLastRate*(1+m.rateTolerance()) && m.rampFlats >= 1:
+		case m.rampPending && rate < m.rampLastRate*(1+noise) && m.rampFlats >= 1:
 			// Two consecutive grants bought nothing beyond noise: the ramp
 			// has topped out.
 			m.rampPending = false
 			m.phase = tpcExplore
 			m.explored = 0
 		default:
-			if m.rampPending && rate < m.rampLastRate*(1+m.rateTolerance()) {
+			if m.rampPending && rate < m.rampLastRate*(1+noise) {
 				m.rampFlats++
 			} else {
 				m.rampFlats = 0
 			}
-			fdp := &FDP{Threads: threads}
-			next = fdp.step(nest.Stages, cur, threads)
+			next = climb(nest.Stages, cur, budget(m.Threads, r))
 			if next == nil {
 				m.phase = tpcExplore
 				m.explored = 0
@@ -183,7 +161,7 @@ func (m *TPC) Reconfigure(r *core.Report) *core.Config {
 			steps = 4
 		}
 		if overBudget {
-			next = m.retreat(nest.Stages, cur)
+			next = shrink(nest.Stages, cur)
 		} else if m.explored < steps {
 			m.explored++
 			next = m.permute(nest.Stages, cur)
@@ -195,7 +173,7 @@ func (m *TPC) Reconfigure(r *core.Report) *core.Config {
 		}
 	case tpcStable:
 		if overBudget {
-			next = m.retreat(nest.Stages, cur)
+			next = shrink(nest.Stages, cur)
 			m.phase = tpcExplore
 			m.explored = 0
 		}
@@ -203,48 +181,8 @@ func (m *TPC) Reconfigure(r *core.Report) *core.Config {
 	if next == nil {
 		return nil
 	}
-	m.settle = m.settleTicks()
-	target.Alt = nest.AltIndex
-	target.Extents = clampToSpec(next, nest.Stages)
-	return cfg
-}
-
-func (m *TPC) settleTicks() int {
-	if m.SettleTicks > 0 {
-		return m.SettleTicks
-	}
-	return 3
-}
-
-func (m *TPC) rateTolerance() float64 {
-	if m.RateTolerance > 0 {
-		return m.RateTolerance
-	}
-	return 0.02
-}
-
-// retreat removes one worker from the most over-provisioned PAR stage.
-func (m *TPC) retreat(stages []core.StageReport, cur []int) []int {
-	weights := execWeights(stages)
-	fast, bestC := -1, -1.0
-	for i, st := range stages {
-		if st.Type != core.PAR || cur[i] <= 1 {
-			continue
-		}
-		c := float64(cur[i])
-		if weights[i] > 0 {
-			c = float64(cur[i]) / weights[i]
-		}
-		if c > bestC {
-			fast, bestC = i, c
-		}
-	}
-	if fast < 0 {
-		return nil
-	}
-	next := append([]int(nil), cur...)
-	next[fast]--
-	return next
+	m.settle = settle(m.SettleTicks)
+	return install(r, nest, nest.AltIndex, clampToSpec(next, nest.Stages))
 }
 
 // permute proposes an unexplored configuration with the same total extent

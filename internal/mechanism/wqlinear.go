@@ -61,41 +61,6 @@ func (m *WQLinear) Reconfigure(r *core.Report) *core.Config {
 	if !ok {
 		return nil
 	}
-	threads := m.Threads
-	if threads <= 0 {
-		threads = r.Contexts
-	}
 	extent := m.Extent(r.Root.Stages[outerIdx].Load)
-
-	cfg := r.Config
-	innerCfg := cfg.Child(inner.Name)
-	if innerCfg == nil {
-		innerCfg = &core.Config{}
-		cfg.SetChild(inner.Name, innerCfg)
-	}
-	outer := threads / extent
-	if outer < 1 {
-		outer = 1
-	}
-	cfg.Alt = 0
-	cfg.Extents = make([]int, len(r.Root.Stages))
-	for i := range cfg.Extents {
-		cfg.Extents[i] = 1
-	}
-	cfg.Extents[outerIdx] = outer
-
-	if extent <= 1 {
-		seq := seqAltIndex(inner.Spec)
-		innerCfg.Alt = seq
-		innerCfg.Extents = distribute(1, stageReportsFor(inner.Spec.Alts[seq]), nil)
-		return cfg
-	}
-	par := parAltIndex(inner.Spec)
-	innerCfg.Alt = par
-	stages := inner.Stages
-	if inner.AltIndex != par {
-		stages = stageReportsFor(inner.Spec.Alts[par])
-	}
-	innerCfg.Extents = distribute(extent, stages, execWeights(stages))
-	return cfg
+	return serverConfig(r, outerIdx, inner, budget(m.Threads, r), extent, extent > 1)
 }

@@ -81,55 +81,15 @@ func (m *WQTH) Reconfigure(r *core.Report) *core.Config {
 		return nil // no state change: keep the configuration
 	}
 	m.haveTarget = true
-	return m.target(r, outerIdx, inner)
-}
-
-// target builds the configuration for the current state.
-func (m *WQTH) target(r *core.Report, outerIdx int, inner *core.NestReport) *core.Config {
-	threads := m.Threads
-	if threads <= 0 {
-		threads = r.Contexts
-	}
-	cfg := r.Config
-	innerCfg := cfg.Child(inner.Name)
-	if innerCfg == nil {
-		innerCfg = &core.Config{}
-		cfg.SetChild(inner.Name, innerCfg)
-	}
+	threads := budget(m.Threads, r)
 	if !m.inPar {
 		// Throughput mode: outer gets everything, inner sequential.
-		cfg.Alt = 0
-		cfg.Extents = make([]int, len(r.Root.Stages))
-		for i := range cfg.Extents {
-			cfg.Extents[i] = 1
-		}
-		cfg.Extents[outerIdx] = threads
-		seq := seqAltIndex(inner.Spec)
-		innerCfg.Alt = seq
-		innerCfg.Extents = distribute(1, stageReportsFor(inner.Spec.Alts[seq]), nil)
-		return cfg
+		return serverConfig(r, outerIdx, inner, threads, 1, false)
 	}
 	// Latency mode: inner gets Mmax, outer gets N/Mmax.
 	mmax := m.Mmax
 	if mmax <= 0 {
 		mmax = threads
 	}
-	outer := threads / mmax
-	if outer < 1 {
-		outer = 1
-	}
-	cfg.Alt = 0
-	cfg.Extents = make([]int, len(r.Root.Stages))
-	for i := range cfg.Extents {
-		cfg.Extents[i] = 1
-	}
-	cfg.Extents[outerIdx] = outer
-	par := parAltIndex(inner.Spec)
-	innerCfg.Alt = par
-	stages := inner.Stages
-	if inner.AltIndex != par {
-		stages = stageReportsFor(inner.Spec.Alts[par])
-	}
-	innerCfg.Extents = distribute(mmax, stages, execWeights(stages))
-	return cfg
+	return serverConfig(r, outerIdx, inner, threads, mmax, true)
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"dope/internal/stats"
+	"dope/internal/tenancy"
 	"dope/internal/workload"
 )
 
@@ -15,8 +16,8 @@ type TenantClass struct {
 	// tenant's objective ("latency", "batch", ...).
 	Name string
 	Goal string
-	// Weight is the tenant's fair-share weight and Min its guaranteed
-	// context floor; Max caps its grant (0 = the whole pool).
+	// Weight is the tenant's fair-share weight (default 1) and Min its
+	// guaranteed context floor; Max caps its grant (0 = the whole pool).
 	Weight int
 	Min    int
 	Max    int
@@ -47,7 +48,7 @@ type TenantsConfig struct {
 	// ControlEvery is the arbiter tick period in seconds (default 0.05).
 	ControlEvery float64
 	// Arbitrated selects quota arbitration (weighted fair share with
-	// work-conserving redistribution, mirroring tenancy.Arbiter). False
+	// work-conserving redistribution, split by tenancy.Allocate). False
 	// simulates a free-for-all: every tenant races for the shared pool
 	// FIFO by arrival time, with no quotas.
 	Arbitrated bool
@@ -126,6 +127,10 @@ func RunTenants(cfg TenantsConfig) []TenantResult {
 	cfg.defaults()
 	s := &tenantsSim{cfg: cfg, agenda: newAgenda()}
 	for i, cl := range cfg.Classes {
+		// Normalized as tenancy.Arbiter.Register normalizes a spec.
+		if cl.Weight <= 0 {
+			cl.Weight = 1
+		}
 		if cl.Max <= 0 {
 			cl.Max = cfg.Contexts
 		}
@@ -267,51 +272,22 @@ func (s *tenantsSim) tryStart() {
 	}
 }
 
-// rebalance mirrors tenancy.Arbiter's quota lattice: guaranteed floors,
-// then a weighted max-min water-fill of demand, then work-conserving
-// redistribution of whatever is left to any tenant below its cap.
+// rebalance divides the pool with the arbiter's own split
+// (tenancy.Allocate): guaranteed floors, then a weighted max-min water-fill
+// of demand, then work-conserving redistribution of whatever is left to any
+// tenant below its cap.
 func (s *tenantsSim) rebalance() {
-	n := s.cfg.Contexts
-	grants := make([]int, len(s.tens))
-	left := n
+	claims := make([]tenancy.Claim, len(s.tens))
 	for i, t := range s.tens {
-		g := t.class.Min
-		if g > n {
-			g = n
-		}
-		grants[i] = g
-		left -= g
-	}
-	fill := func(eligible func(i int) bool) {
-		for left > 0 {
-			best := -1
-			var bestKey float64
-			for i, t := range s.tens {
-				if !eligible(i) {
-					continue
-				}
-				key := float64(grants[i]) / float64(t.class.Weight)
-				if best == -1 || key < bestKey {
-					best, bestKey = i, key
-				}
-			}
-			if best == -1 {
-				return
-			}
-			grants[best]++
-			left--
+		claims[i] = tenancy.Claim{
+			Name: t.class.Name, Weight: float64(t.class.Weight),
+			Min: t.class.Min, Max: t.class.Max, Demand: t.demand(),
 		}
 	}
-	// Demand phase: only tenants whose demand exceeds their grant.
-	fill(func(i int) bool {
+	for i, g := range tenancy.Allocate(claims, s.cfg.Contexts) {
 		t := s.tens[i]
-		return grants[i] < t.class.Max && grants[i] < t.demand()
-	})
-	// Surplus phase: park the rest under the caps, weight-proportionally.
-	fill(func(i int) bool { return grants[i] < s.tens[i].class.Max })
-	for i, t := range s.tens {
-		t.quota = grants[i]
-		t.quotaSum += float64(grants[i])
+		t.quota = g
+		t.quotaSum += float64(g)
 		t.quotaN++
 	}
 }

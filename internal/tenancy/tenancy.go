@@ -650,15 +650,92 @@ func clampConfig(e *core.Exec, quota int) {
 	e.SetConfig(cfg)
 }
 
-// rebalanceLocked re-divides the machine among running tenants:
+// Claim is one tenant's standing in a quota split.
+type Claim struct {
+	// Name breaks ties: between equal grant/weight ratios the lower name
+	// takes the next context.
+	Name string
+	// Priority selects the strict tier; higher tiers fill first.
+	Priority int
+	// Weight is the claim's share within its tier; it must be positive.
+	Weight float64
+	// Min is the floor granted before any tier sees demand; Max caps the
+	// grant (Min <= Max).
+	Min, Max int
+	// Demand is what the claim asks for now, clamped to [Min, Max].
+	Demand int
+}
+
+// Allocate splits capacity contexts among claims and returns the grants,
+// index-aligned with claims:
 //
-//  1. floors — every running tenant gets MinContexts (admission guaranteed
-//     the floors fit);
+//  1. floors — every claim gets Min, in tier order, while capacity lasts;
 //  2. demand phase — strict priority tiers, highest first: within a tier,
-//     tokens go one at a time to the member with the smallest grant/weight
-//     ratio (weighted max-min water-filling) until demand or caps are met;
-//  3. surplus phase — leftover capacity is spread the same way up to the
-//     caps, so idle quota is work-conserving headroom rather than stranded.
+//     contexts go one at a time to the claim with the smallest grant/weight
+//     ratio (weighted max-min water-filling) until every claim reaches its
+//     demand;
+//  3. surplus phase — leftover capacity is spread the same way up to Max,
+//     so idle quota is work-conserving headroom rather than stranded.
+func Allocate(claims []Claim, capacity int) []int {
+	order := make([]int, len(claims))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ca, cb := &claims[order[a]], &claims[order[b]]
+		if ca.Priority != cb.Priority {
+			return ca.Priority > cb.Priority
+		}
+		return ca.Name < cb.Name
+	})
+	capacity = max(capacity, 0)
+	grant := make([]int, len(claims))
+	demand := make([]int, len(claims))
+	for _, i := range order {
+		c := &claims[i]
+		demand[i] = min(max(c.Demand, c.Min), c.Max)
+		grant[i] = min(c.Min, capacity)
+		capacity -= grant[i]
+	}
+	for phase := 0; phase < 2 && capacity > 0; phase++ {
+		for lo := 0; lo < len(order) && capacity > 0; {
+			hi := lo
+			for hi < len(order) && claims[order[hi]].Priority == claims[order[lo]].Priority {
+				hi++
+			}
+			tier := order[lo:hi]
+			for capacity > 0 {
+				pick := -1
+				var pickRatio float64
+				for _, i := range tier {
+					ceil := demand[i]
+					if phase == 1 {
+						ceil = claims[i].Max
+					}
+					if grant[i] >= ceil {
+						continue
+					}
+					ratio := float64(grant[i]) / claims[i].Weight
+					if pick < 0 || ratio < pickRatio ||
+						(ratio == pickRatio && claims[i].Name < claims[pick].Name) {
+						pick, pickRatio = i, ratio
+					}
+				}
+				if pick < 0 {
+					break
+				}
+				grant[pick]++
+				capacity--
+			}
+			lo = hi
+		}
+	}
+	return grant
+}
+
+// rebalanceLocked re-divides the machine among running tenants with
+// Allocate, over the capacity the drained tenants' still-held tokens (the
+// lien) leave free, with each tenant's decaying demand as its claim.
 //
 // Applying the targets is asymmetric. A decrease lands immediately: the
 // tenant stops admitting at once and whatever it holds beyond the new quota
@@ -688,72 +765,22 @@ func (a *Arbiter) rebalanceLocked() {
 		}
 		return running[i].spec.Name < running[j].spec.Name
 	})
-	capacity := n - lien
-	if capacity < 0 {
-		capacity = 0
-	}
-
-	grant := make(map[*Tenant]int, len(running))
-	demand := make(map[*Tenant]int, len(running))
-	for _, t := range running {
+	claims := make([]Claim, len(running))
+	for i, t := range running {
 		t.mu.Lock()
 		d := int(math.Ceil(t.demand))
 		t.mu.Unlock()
-		if d < t.spec.MinContexts {
-			d = t.spec.MinContexts
-		}
-		if d > t.spec.MaxContexts {
-			d = t.spec.MaxContexts
-		}
-		demand[t] = d
-		g := t.spec.MinContexts
-		if g > capacity {
-			g = capacity
-		}
-		grant[t] = g
-		capacity -= g
-	}
-
-	// Demand then surplus phase, tier by tier (running is sorted by
-	// priority, so tiers are contiguous).
-	for phase := 0; phase < 2 && capacity > 0; phase++ {
-		for lo := 0; lo < len(running) && capacity > 0; {
-			hi := lo
-			for hi < len(running) && running[hi].spec.Priority == running[lo].spec.Priority {
-				hi++
-			}
-			tier := running[lo:hi]
-			for capacity > 0 {
-				var pick *Tenant
-				var pickRatio float64
-				for _, t := range tier {
-					ceil := demand[t]
-					if phase == 1 {
-						ceil = t.spec.MaxContexts
-					}
-					if grant[t] >= ceil {
-						continue
-					}
-					ratio := float64(grant[t]) / t.spec.Weight
-					if pick == nil || ratio < pickRatio ||
-						(ratio == pickRatio && t.spec.Name < pick.spec.Name) {
-						pick, pickRatio = t, ratio
-					}
-				}
-				if pick == nil {
-					break
-				}
-				grant[pick]++
-				capacity--
-			}
-			lo = hi
+		claims[i] = Claim{
+			Name: t.spec.Name, Priority: t.spec.Priority, Weight: t.spec.Weight,
+			Min: t.spec.MinContexts, Max: t.spec.MaxContexts, Demand: d,
 		}
 	}
+	grant := Allocate(claims, n-lien)
 
 	// Apply decreases first: admission stops now, the debt drains later.
-	for _, t := range running {
-		if grant[t] < t.pool.Quota() {
-			a.applyGrant(t, grant[t])
+	for i, t := range running {
+		if grant[i] < t.pool.Quota() {
+			a.applyGrant(t, grant[i])
 		}
 	}
 	// Raises only into real headroom, priority order (running is sorted):
@@ -767,15 +794,15 @@ func (a *Arbiter) rebalanceLocked() {
 			headroom -= q
 		}
 	}
-	for _, t := range running {
+	for i, t := range running {
 		if headroom <= 0 {
 			break
 		}
 		q := t.pool.Quota()
-		if grant[t] <= q {
+		if grant[i] <= q {
 			continue
 		}
-		raise := grant[t] - q
+		raise := grant[i] - q
 		if raise > headroom {
 			raise = headroom
 		}
@@ -786,13 +813,13 @@ func (a *Arbiter) rebalanceLocked() {
 	// Power sub-budgets follow the grants.
 	if a.watts > 0 {
 		totalGrant := 0
-		for _, t := range running {
-			totalGrant += grant[t]
+		for _, g := range grant {
+			totalGrant += g
 		}
-		for _, t := range running {
+		for i, t := range running {
 			var w float64
 			if totalGrant > 0 {
-				w = a.watts * float64(grant[t]) / float64(totalGrant)
+				w = a.watts * float64(grant[i]) / float64(totalGrant)
 			}
 			t.mu.Lock()
 			changed := math.Abs(w-t.watts) > 1e-9
