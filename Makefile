@@ -35,16 +35,21 @@ stalls:
 
 # Begin/End, queue hand-off and alternative-switch microbenchmarks with the
 # gates CI runs on every push (no allocation on the first two; no drain-long
-# head idle on the third). Add RECORD=1 to append a labeled entry to each
-# suite's checked-in trajectory file (BENCH_beginend.json, BENCH_queue.json,
-# BENCH_altswitch.json) when recording a milestone; GOMAXPROCS in the
-# environment picks the parallelism the entry is recorded at.
+# head idle on the third), each at GOMAXPROCS 1 and 2 so the allocation gate
+# also covers the contended path whatever the host's CPU count. Add RECORD=1
+# to append a labeled entry per suite and GOMAXPROCS to its checked-in
+# trajectory file (BENCH_beginend.json, BENCH_queue.json,
+# BENCH_altswitch.json) when recording a milestone.
 BENCH_LABEL ?= dev
+BENCH_PROCS ?= 1 2
 RECORD ?=
 bench:
-	@set -e; for suite in beginend queue altswitch; do \
-		$(GO) run ./cmd/dope-bench -bench $$suite -label "$(BENCH_LABEL)" \
-			$(if $(RECORD),-out BENCH_$$suite.json,) -gate; \
+	@set -e; for procs in $(BENCH_PROCS); do \
+		for suite in beginend queue altswitch; do \
+			echo "== $$suite, GOMAXPROCS=$$procs"; \
+			GOMAXPROCS=$$procs $(GO) run ./cmd/dope-bench -bench $$suite -label "$(BENCH_LABEL)" \
+				$(if $(RECORD),-out BENCH_$$suite.json,) -gate; \
+		done; \
 	done
 
 ci: build vet test examples

@@ -39,8 +39,13 @@ type Worker struct {
 
 	holding bool
 	// beginNanos is the open CPU section's start in unix nanoseconds, read
-	// from exec.nowNanos (the monotonic fast path).
+	// from exec.nowNanos (the monotonic fast path), or monitor.NoStamp when
+	// Begin skipped the clock.
 	beginNanos int64
+	// timed says the open section is timed: End reads the clock and reports
+	// its duration. samp decides which sections are (sampling.go).
+	timed bool
+	samp  sampler
 	// began tracks an open Begin/End protocol window (set by every Begin,
 	// including one that returned Suspended without claiming a context,
 	// since drain stages may still work and End before propagating). Only
@@ -105,7 +110,15 @@ func (w *Worker) Begin() Status {
 	}
 	e.contexts.Acquire()
 	w.holding = true
-	w.beginNanos = e.nowNanos()
+	w.timed = w.samp.skip == 0
+	// The clock is read when the section is timed, when the watchdog needs
+	// the window's start, and when the stage has sibling slots, whose stage
+	// idle accounting needs every Begin's time (monitor.SlotRecorder.Slots).
+	if w.timed || w.windowed || w.rec == nil || w.rec.Slots() > 1 {
+		w.beginNanos = e.nowNanos()
+	} else {
+		w.beginNanos = monitor.NoStamp
+	}
 	// Open the invocation window the stall watchdog patrols. A slot
 	// abandoned between the Suspending check and here refuses the window;
 	// the worker then still owns the token (the watchdog had nothing to
@@ -116,10 +129,13 @@ func (w *Worker) Begin() Status {
 	if w.counted {
 		// Tell the monitors the stage is working again, so the idle wait
 		// that just ended is excluded from the rate's next gap.
-		if w.rec != nil {
-			w.rec.ObserveBegin(w.beginNanos)
-		} else {
+		switch {
+		case w.rec == nil:
 			w.stats.ObserveBegin(time.Unix(0, w.beginNanos))
+		case w.beginNanos == monitor.NoStamp:
+			w.rec.ObserveBeginUntimed()
+		default:
+			w.rec.ObserveBegin(w.beginNanos)
 		}
 	}
 	return Executing
@@ -144,19 +160,20 @@ func (w *Worker) End() Status {
 		}
 		w.holding = false
 		if observe {
-			now := e.nowNanos()
-			dur := now - w.beginNanos
-			if dur < 0 {
-				// Guards the monitors against a clock anomaly (e.g. a
-				// TSC that failed to stay invariant after calibration).
-				dur = 0
-			}
-			if w.rec != nil {
-				w.rec.ObserveEnd(dur, now)
-			} else {
+			switch {
+			case w.rec == nil:
+				now := e.nowNanos()
 				t := time.Unix(0, now)
-				w.stats.ObserveIteration(time.Duration(dur), t)
+				w.stats.ObserveIteration(time.Duration(sectionNanos(now, w.beginNanos)), t)
 				w.stats.ObserveEnd(t)
+			case w.timed:
+				now := e.nowNanos()
+				dur := sectionNanos(now, w.beginNanos)
+				w.rec.ObserveEnd(dur, now)
+				w.samp.timedEnd(dur, now, e.interval, w.rec.Slots())
+			default:
+				w.rec.ObserveEndUntimed(w.beginNanos)
+				w.samp.untimedEnd()
 			}
 		}
 		if release {
@@ -167,6 +184,16 @@ func (w *Worker) End() Status {
 		return Suspended
 	}
 	return Executing
+}
+
+// sectionNanos is the length of a section from begin to now. It guards the
+// monitors against a clock anomaly (e.g. a TSC that failed to stay invariant
+// after calibration) by clamping to zero.
+func sectionNanos(now, begin int64) int64 {
+	if d := now - begin; d > 0 {
+		return d
+	}
+	return 0
 }
 
 // Done returns a channel closed when the executive no longer wants this

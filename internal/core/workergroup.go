@@ -46,6 +46,11 @@ type groupSlot struct {
 	// than that window's.
 	winState atomic.Uint32
 	winStart atomic.Int64 // UnixNano of the open window's Begin
+
+	// rec is the monitor recorder of the slot's current attempt, so the
+	// watchdog can tell the monitors which recorder an abandonment left
+	// with a window that will never close.
+	rec atomic.Pointer[monitor.SlotRecorder]
 }
 
 // winState bits. abandoned is single-transition (never cleared), which is
@@ -307,8 +312,10 @@ func (g *workerGroup) attempt(s *groupSlot) (st Status, p any, stack []byte) {
 		exec: g.exec, run: g.r, key: g.key, stats: g.stats,
 		path: g.path, top: g.top, slot: s.id, item: g.item,
 		group: g, gslot: s, windowed: g.windowed,
-		rec: g.stats.NewSlotRecorder(),
+		rec:  g.stats.NewSlotRecorder(),
+		samp: newSampler(s.id),
 	}
+	s.rec.Store(w.rec)
 	// Folds the attempt's final partial batch; runs after the recover below
 	// so a panic-balancing End still lands in the accumulator.
 	defer w.rec.Release()
@@ -647,7 +654,7 @@ func (g *workerGroup) stalled(s *groupSlot, age time.Duration) {
 	if reclaim {
 		e.contexts.Release()
 	}
-	g.stats.ObserveAbandon()
+	g.stats.ObserveAbandon(s.rec.Load())
 	g.mu.Lock()
 	for i, other := range g.slots {
 		if other == s {

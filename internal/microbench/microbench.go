@@ -12,8 +12,9 @@
 //   - BeginEnd: one worker, one hardware context — the uncontended fast
 //     path. The CI gate requires 0 allocs/op here.
 //   - BeginEndContended8: eight workers on eight contexts hammering the
-//     token pool, the per-slot monitor accumulators, and the shared stage
-//     aggregate concurrently.
+//     token pool and the per-slot monitor accumulators concurrently.
+//   - BeginEndContended2: two workers on two contexts, the shape of the
+//     spin-pipe benchmark's PAR stage; at GOMAXPROCS 2 both run at once.
 //   - BeginEndMultiTenant: two single-worker tenants acquiring through
 //     per-tenant quota pools layered over one shared context pool — the
 //     multi-tenant fast path (quota CAS + shared CAS per Begin). Also
@@ -211,9 +212,10 @@ func BeginEnd() []Result {
 	return measure([]benchCase{
 		{"BeginEnd", runBeginEnd(1)},
 		{"BeginEndContended8", runBeginEnd(8)},
+		{"BeginEndContended2", runBeginEnd(2)},
 		{"BeginEndMultiTenant", runBeginEndMultiTenant},
 		{"BeginEndCollector", runBeginEndCollector},
-	}, 1)
+	}, 5)
 }
 
 // Gate enforces the benchmark acceptance floor: the uncontended Begin/End

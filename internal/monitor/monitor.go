@@ -9,16 +9,16 @@
 // aggregates, keyed by "nest/stage", from a registry of live LoadCB
 // callbacks that is polled on demand.
 //
-// The per-task path is deliberately lock-free. Each worker slot owns a
-// SlotRecorder — a padded accumulator struct written only by that worker —
-// and the stage-wide idle state (how many Begin/End windows are open, and
-// since when none are) lives in three shared atomics. A fold, run under the
-// stage mutex by the control-loop tick and by every locked getter or
-// slow-path observer, drains the accumulators into the EWMAs using
-// watermarks, so Report() keeps its exact meaning (including the idle-rate
-// correction) while ObserveBegin/End on the worker path cost a handful of
-// atomic operations instead of three mutex sections. See DESIGN.md for the
-// memory-ordering invariants.
+// The per-task path is deliberately lock-free and writes no shared line.
+// Each worker slot owns a SlotRecorder — a padded accumulator struct written
+// only by that worker — holding its iteration count, its open/closed state,
+// its newest window close and its banked share of stage idle time. A fold,
+// run under the stage mutex by the control-loop tick and by every locked
+// getter or slow-path observer, drains the accumulators into the EWMAs using
+// watermarks and derives the stage's idle time from the slot data it walks,
+// so Report() keeps its meaning (including the idle-rate correction) while
+// ObserveBegin/End on the worker path touch only the slot's own cache lines.
+// See DESIGN.md for the memory-ordering invariants and the sampling rule.
 package monitor
 
 import (
@@ -40,28 +40,23 @@ type Key struct {
 // sentinel: virtual clocks in tests legitimately produce time.Unix(0, 0).
 const noTime = math.MinInt64
 
+// NoStamp is the begin time of a section whose Begin skipped the clock.
+const NoStamp = noTime
+
+// idleScanGap is the shortest gap between a slot's windows after which its
+// next stamped Begin checks whether the whole stage was idle. Only then does
+// a slot read its siblings' lines, so the check costs a few cache misses per
+// 20 µs of idleness at most; a stage-wide idle stretch shorter than this
+// counts as working time in a stage with more than one slot.
+const idleScanGap = 20_000 // ns
+
 // StageStats is the durable aggregate for one stage.
 type StageStats struct {
-	// Idle accounting for the rate EWMA, shared by all of the stage's
-	// worker slots and therefore atomic. Rate measures how fast the stage
-	// completes iterations while it is actually working; time the live
-	// workers spend with no Begin/End window open (blocked on an empty
-	// queue, waiting for sparse input) is idleness of the *workload*, not
-	// slowness of the stage, and must not be folded into the
-	// inter-completion gaps. open counts currently-open windows across the
-	// stage's workers; lastEnd is the newest window close (in UnixNano), so
-	// when open is zero it is also the moment the stage went idle; idleAccum
-	// banks the accrued idle nanoseconds, which the next completion's fold
-	// subtracts from its gap. Every ObserveEnd stores lastEnd *before* its
-	// open decrement, so the Begin whose increment raises open from zero is
-	// guaranteed to read an end-time no older than the close that emptied
-	// the stage — that pairing is what keeps each banked idle stretch exact
-	// without a lock.
-	open       atomic.Int32
-	lastEnd    atomic.Int64 // UnixNano of the newest window close; noTime if none
-	idleAccum  atomic.Int64 // banked idle nanos awaiting the next completion
-	firstBegin atomic.Int64 // UnixNano of the first window open since reset; noTime if none
-	_          [32]byte     // keep the hot atomics off the mutex's cache line
+	// live is the registered slot recorders, republished (copied) under mu
+	// on every register and release so ObserveBegin's idle check can walk
+	// the siblings without the lock. Read-mostly: written once per slot
+	// start and exit.
+	live atomic.Pointer[[]*SlotRecorder]
 
 	mu   sync.Mutex
 	recs []*SlotRecorder // live per-slot accumulators, drained by foldLocked
@@ -70,8 +65,28 @@ type StageStats struct {
 	iterations  uint64
 	completed   uint64      // instances that ran to Finished
 	lastAtNanos int64       // UnixNano of the newest folded completion; noTime if none
-	rate        *stats.EWMA // iterations/sec from inter-completion gaps
-	execSum     float64
+	rate        *stats.EWMA // iterations/sec of working time
+	// execSum is the total measured CPU-section time in seconds and timed
+	// the number of iterations it stands for. Under sampled timing (see
+	// SlotRecorder) timed trails iterations by the windows closed since each
+	// slot's newest timed one, so MeanExecTime divides by timed.
+	execSum float64
+	timed   uint64
+	// idleBank is stage idle time banked by the slots' Begins and not yet
+	// subtracted from a rate gap: it waits here across folds that saw no
+	// completion.
+	idleBank int64
+
+	// Idle accounting of the locked observation path (StageStats.ObserveBegin,
+	// ObserveEnd, ObserveIteration), used by Workers built without a
+	// SlotRecorder. It has the same meaning as the slot path's: lkOpen
+	// counts open windows, lkLastEnd is the newest close (noTime if none),
+	// lkIdle the idle nanoseconds banked since the last completion, and
+	// lkFirst the first window open since reset, the first gap's origin.
+	lkOpen    int
+	lkLastEnd int64
+	lkIdle    int64
+	lkFirst   int64
 
 	// Worker-slot lifecycle, maintained by the executive's stage worker
 	// groups. With in-place resizing the configured extent and the number
@@ -107,42 +122,80 @@ func newStageStats(alpha float64) *StageStats {
 		rate:     stats.NewEWMA(alpha),
 	}
 	s.lastAtNanos = noTime
-	s.lastEnd.Store(noTime)
-	s.firstBegin.Store(noTime)
+	s.lkLastEnd = noTime
+	s.lkFirst = noTime
+	s.live.Store(new([]*SlotRecorder))
 	return s
 }
 
 // SlotRecorder is one worker slot's private accumulator. The owning worker
 // is the only writer of the producer fields; the stage fold reads them with
 // atomic loads and tracks how much it has already consumed in the watermark
-// fields, which only the fold (under the stage mutex) touches. The struct
-// is padded so two slots' accumulators never share a cache line.
+// fields, which only the fold (under the stage mutex) touches. A sibling
+// slot reads state and endAt, and only after an idle gap (idleScanGap). The
+// struct is padded to three cache lines, so two slots' accumulators never
+// share a line.
+//
+// Sampled timing. The caller decides which windows to time (Worker.Begin in
+// internal/core reads the clock for one window in k while windows are
+// short). A timed window's duration is weighted by the number of windows it
+// stands for — itself plus the untimed ones since the previous timed window
+// — so execSum/timed is an unbiased estimate of the mean window as long as
+// the choice of which window to time does not depend on that window's own
+// length.
 type SlotRecorder struct {
 	s *StageStats
 
 	// Producer fields, written only by the owning worker. The write order
-	// in ObserveEnd — execSum and the stage's lastEnd before iters — is
-	// load-bearing: a fold that reads iters first (and lastEnd after) is
-	// guaranteed to see the end-time of every completion it counts.
-	execSum atomic.Int64 // total CPU-section nanos
-	iters   atomic.Uint64
+	// in ObserveEnd — execSum, timed and endAt before state — is
+	// load-bearing: a fold that reads state first (and the others after) is
+	// guaranteed to see the time and the end of every completion it counts.
+	state   atomic.Uint64 // iterations<<1 | 1 while a window is open
+	execSum atomic.Int64  // weighted CPU-section nanos of the timed windows
+	timed   atomic.Uint64 // windows the weighted sum stands for
+	endAt   atomic.Int64  // newest window close (UnixNano), estimated for untimed windows; noTime if unknown
+	idle    atomic.Int64  // stage idle nanos banked by this slot's Begins
+	first   atomic.Int64  // first stamped Begin (UnixNano); noTime if none
+	dead    atomic.Bool   // abandoned by the stall watchdog: siblings and the fold skip it
+	stamped bool          // owner-private: first has been stored
+
+	// Owner-private bookkeeping, never read by another goroutine.
+	iters   uint64 // shadow of state>>1
+	pending uint64 // untimed windows since the last timed one
+	est     int64  // newest timed window's duration, to estimate untimed closes
+	lastEnd int64  // shadow of endAt
+	// scanAfter is when a Begin must take the slow path: idleScanGap past
+	// the newest known close, math.MinInt64 before the first stamped Begin,
+	// math.MaxInt64 while the newest close is unknown.
+	scanAfter int64
 
 	// Fold watermarks, owned by the consumer under s.mu.
 	foldedIters uint64
+	foldedTimed uint64
 	foldedExec  int64
+	foldedIdle  int64
 
-	_ [24]byte // round the struct up to a full cache line
+	_ [56]byte // round the struct up to three cache lines
 }
 
 // NewSlotRecorder registers and returns a fresh accumulator for one worker
 // slot. The caller must Release it when the slot's attempt ends so the
 // final partial batch is folded and the slot stops being scanned.
 func (s *StageStats) NewSlotRecorder() *SlotRecorder {
-	rec := &SlotRecorder{s: s}
+	rec := &SlotRecorder{s: s, lastEnd: noTime, scanAfter: math.MinInt64}
+	rec.endAt.Store(noTime)
+	rec.first.Store(noTime)
 	s.mu.Lock()
 	s.recs = append(s.recs, rec)
+	s.publishLocked()
 	s.mu.Unlock()
 	return rec
+}
+
+// publishLocked republishes the recorder list for lock-free readers.
+func (s *StageStats) publishLocked() {
+	live := append([]*SlotRecorder(nil), s.recs...)
+	s.live.Store(&live)
 }
 
 // Release folds the recorder's remaining accumulation and unregisters it.
@@ -156,49 +209,113 @@ func (rec *SlotRecorder) Release() {
 			break
 		}
 	}
+	s.publishLocked()
 	s.mu.Unlock()
 }
 
+// Slots returns how many slots the stage has registered. With more than
+// one, stage idle time depends on every slot's Begin times, so each Begin
+// must be stamped; a lone slot's idle time is everything outside its
+// windows, which needs no Begin stamp at all. The fold also pools every
+// slot's timed windows into one estimate, so each slot needs to time only
+// its share of the samples a tick wants.
+func (rec *SlotRecorder) Slots() int {
+	return len(*rec.s.live.Load())
+}
+
 // ObserveBegin records that the slot's worker opened a Begin/End window at
-// now (UnixNano): the stage is working again, so any idle stretch that just
-// ended is banked for the next completion's gap correction. Lock-free.
+// now (UnixNano). After a gap of at least idleScanGap it checks whether
+// every sibling slot is closed too; if so, the stage was idle from the
+// newest close among all slots until now, and the slot banks that stretch
+// for the next completion's rate gap. Lock-free, and writes only the slot's
+// own lines.
 func (rec *SlotRecorder) ObserveBegin(nowNanos int64) {
-	rec.s.beginAtomic(nowNanos)
-}
-
-// ObserveEnd records one completed Begin..End section of dur nanoseconds
-// ending at now (UnixNano). It replaces the locked ObserveIteration +
-// ObserveEnd pair on the worker path: the iteration lands in the slot's
-// accumulator for the next fold, and the idle state updates atomically.
-func (rec *SlotRecorder) ObserveEnd(durNanos, nowNanos int64) {
-	rec.execSum.Add(durNanos)
-	rec.s.lastEnd.Store(nowNanos)
-	rec.iters.Add(1)
-	rec.s.open.Add(-1)
-}
-
-// beginAtomic is the shared open/idle transition for a window opening: the
-// increment that wakes an idle stage banks the idle stretch since the close
-// that emptied it. Before any window has closed there is no idle stretch to
-// bank; instead the very first open seeds firstBegin, the gap origin the
-// first fold's rate observation anchors to (without it the whole first batch
-// of completions would make no rate observation at all, and a mechanism or
-// profiler reading Rate() before the second control tick would see 0 — an
-// "infinitely fast" stage by the demand math).
-func (s *StageStats) beginAtomic(nowNanos int64) {
-	if s.open.Add(1) == 1 {
-		if le := s.lastEnd.Load(); le != noTime && nowNanos > le {
-			s.idleAccum.Add(nowNanos - le)
-		} else if le == noTime {
-			s.firstBegin.CompareAndSwap(noTime, nowNanos)
-		}
+	rec.state.Store(rec.iters<<1 | 1) // before reading siblings: see bankIdle
+	if nowNanos >= rec.scanAfter {
+		rec.beginSlow(nowNanos)
 	}
 }
 
-// endAtomic is the shared open/idle transition for a window closing.
-func (s *StageStats) endAtomic(nowNanos int64) {
-	s.lastEnd.Store(nowNanos)
-	s.open.Add(-1)
+// beginSlow is ObserveBegin's rare part, split out so the common case
+// inlines: the slot's first stamped Begin, and a Begin that ends a long gap.
+func (rec *SlotRecorder) beginSlow(nowNanos int64) {
+	if !rec.stamped {
+		rec.stamped = true
+		rec.first.Store(nowNanos)
+	}
+	if rec.lastEnd != noTime && nowNanos-rec.lastEnd >= idleScanGap {
+		rec.bankIdle(nowNanos)
+	}
+	rec.scanAfter = math.MaxInt64 // until the next close
+}
+
+// ObserveBeginUntimed records a window opened without a clock read: the
+// slot is working, and the window will close through ObserveEndUntimed.
+func (rec *SlotRecorder) ObserveBeginUntimed() {
+	rec.state.Store(rec.iters<<1 | 1)
+}
+
+// bankIdle banks the stage-wide idle stretch that this Begin ends, if any.
+// Every slot stores its open state before reading its siblings' (both
+// sequentially consistent), so of two Begins racing out of one idle
+// stretch at least one sees the other open: the stretch is banked at most
+// once.
+func (rec *SlotRecorder) bankIdle(nowNanos int64) {
+	newest := int64(noTime)
+	for _, r := range *rec.s.live.Load() {
+		if r.dead.Load() {
+			continue
+		}
+		if r != rec && r.state.Load()&1 != 0 {
+			return // a sibling is working: the stage was not idle
+		}
+		if e := r.endAt.Load(); e > newest {
+			newest = e
+		}
+	}
+	if newest != noTime && nowNanos > newest {
+		rec.idle.Add(nowNanos - newest)
+	}
+}
+
+// ObserveEnd records one completed, timed Begin..End section of dur
+// nanoseconds ending at now (UnixNano). It stands for itself and for the
+// untimed windows closed since the slot's previous timed one.
+func (rec *SlotRecorder) ObserveEnd(durNanos, nowNanos int64) {
+	w := rec.pending + 1
+	rec.pending = 0
+	rec.execSum.Add(durNanos * int64(w))
+	rec.timed.Add(w)
+	rec.est = durNanos
+	rec.setEnd(nowNanos)
+	rec.iters++
+	rec.state.Store(rec.iters << 1)
+}
+
+// ObserveEndUntimed records one completed section that was not timed and
+// began at begin (UnixNano, or NoStamp when the Begin skipped the clock).
+// Its close is estimated as the stamped Begin plus the newest timed
+// duration, and unknown without a stamp.
+func (rec *SlotRecorder) ObserveEndUntimed(beginNanos int64) {
+	rec.pending++
+	end := int64(noTime)
+	if beginNanos != NoStamp {
+		end = beginNanos + rec.est
+	}
+	rec.setEnd(end)
+	rec.iters++
+	rec.state.Store(rec.iters << 1)
+}
+
+func (rec *SlotRecorder) setEnd(end int64) {
+	if end != rec.lastEnd {
+		rec.lastEnd = end
+		rec.endAt.Store(end)
+		rec.scanAfter = math.MaxInt64
+		if end != noTime {
+			rec.scanAfter = end + idleScanGap
+		}
+	}
 }
 
 // foldLocked drains every live slot accumulator into the durable aggregate.
@@ -206,68 +323,107 @@ func (s *StageStats) endAtomic(nowNanos int64) {
 // observations of the batch mean (see stats.EWMA.ObserveBatch): for k == 1
 // — every fold triggered by a getter right after a completion, and all
 // test-driven sequences — this is bit-for-bit the per-iteration update; for
-// larger batches it is the same estimator at tick granularity. The rate
-// observation subtracts the idle time banked since the previous folded
-// completion, preserving the idle-rate correction.
+// larger batches it is the same estimator at tick granularity.
+//
+// The rate observation divides the completions by the stage's working time,
+// the wall time during which at least one window was open. With one slot
+// that is the slot's own CPU-section time, so the rate is the reciprocal of
+// the batch's mean section. With several, it is the gap since the previous
+// folded completion minus the stage idle time the slots banked
+// (ObserveBegin), as it was when the stage kept one shared open count.
 func (s *StageStats) foldLocked() {
-	var k uint64
+	var k, timed uint64
 	var execDelta int64
+	last, first := int64(noTime), int64(noTime)
+	slots := 0
 	for _, rec := range s.recs {
-		it := rec.iters.Load() // before the stage's lastEnd: see SlotRecorder ordering
+		it := rec.state.Load() >> 1 // before the rest: see SlotRecorder ordering
 		if d := it - rec.foldedIters; d > 0 {
 			rec.foldedIters = it
 			k += d
+		}
+		if t := rec.timed.Load(); t != rec.foldedTimed {
+			timed += t - rec.foldedTimed
+			rec.foldedTimed = t
 		}
 		if ex := rec.execSum.Load(); ex != rec.foldedExec {
 			execDelta += ex - rec.foldedExec
 			rec.foldedExec = ex
 		}
-	}
-	if k == 0 {
-		if execDelta != 0 {
-			s.execSum += float64(execDelta) / 1e9
+		if id := rec.idle.Load(); id != rec.foldedIdle {
+			s.idleBank += id - rec.foldedIdle
+			rec.foldedIdle = id
 		}
-		return
+		if rec.dead.Load() {
+			continue
+		}
+		slots++
+		last = max(last, rec.endAt.Load())
+		if f := rec.first.Load(); f != noTime && (first == noTime || f < first) {
+			first = f
+		}
 	}
-	// Every counted completion stored the stage's lastEnd before its iters
-	// increment, so this load (after the iters loads above) is no older than
-	// the newest completion in the batch. It may be newer — an End whose
-	// iters bump lands in the next fold — which only shifts a sliver of gap
-	// from the next batch into this one.
-	last := s.lastEnd.Load()
 	execSec := float64(execDelta) / 1e9
 	s.execSum += execSec
-	s.execTime.ObserveBatch(execSec/float64(k), k)
+	s.timed += timed
+	if timed > 0 {
+		s.execTime.ObserveBatch(execSec/float64(timed), timed)
+	}
+	if k == 0 {
+		return
+	}
 	s.iterations += k
 	s.consecFail = 0
-	idle := s.idleAccum.Swap(0)
-	origin := s.lastAtNanos
-	if origin == noTime {
-		// First fold since (re)start: anchor the gap at the first window
-		// open, so the first batch yields a real rate observation instead of
-		// only seeding the gap state.
-		origin = s.firstBegin.Load()
-	}
-	if origin != noTime {
-		gap := float64(last-origin-idle) / 1e9
-		if gap > 0 {
-			s.rate.ObserveBatch(float64(k)/gap, k)
+	if slots <= 1 {
+		if timed > 0 && execSec > 0 {
+			s.rate.ObserveBatch(float64(timed)/execSec, timed)
+		}
+	} else {
+		origin := s.lastAtNanos
+		if origin == noTime {
+			// First fold since (re)start: anchor the gap at the first window
+			// open, so the first batch yields a real rate observation instead
+			// of only seeding the gap state.
+			origin = first
+		}
+		if origin != noTime && last != noTime {
+			if gap := float64(last-origin-s.idleBank) / 1e9; gap > 0 {
+				s.rate.ObserveBatch(float64(k)/gap, k)
+			}
 		}
 	}
-	s.lastAtNanos = last
+	s.idleBank = 0
+	if last > s.lastAtNanos {
+		s.lastAtNanos = last
+	}
 }
 
 // ObserveBegin records that a worker opened a Begin/End window at now: the
 // stage is working again, so any idle stretch that just ended is banked for
 // the next completion's gap correction.
 func (s *StageStats) ObserveBegin(now time.Time) {
-	s.beginAtomic(now.UnixNano())
+	nowNanos := now.UnixNano()
+	s.mu.Lock()
+	if s.lkOpen == 0 {
+		if le := s.lkLastEnd; le != noTime && nowNanos > le {
+			s.lkIdle += nowNanos - le
+		} else if le == noTime && s.lkFirst == noTime {
+			s.lkFirst = nowNanos
+		}
+	}
+	s.lkOpen++
+	s.mu.Unlock()
 }
 
 // ObserveEnd records that a worker closed its Begin/End window at now; when
 // it was the last open window, the stage is idle from now on.
 func (s *StageStats) ObserveEnd(now time.Time) {
-	s.endAtomic(now.UnixNano())
+	s.mu.Lock()
+	s.lkLastEnd = now.UnixNano()
+	if s.lkOpen > 0 {
+		s.lkOpen--
+	}
+	s.mu.Unlock()
 }
 
 // ObserveIteration records one Begin..End section of d at time now. The
@@ -281,13 +437,15 @@ func (s *StageStats) ObserveIteration(d time.Duration, now time.Time) {
 	sec := d.Seconds()
 	s.execTime.Observe(sec)
 	s.execSum += sec
+	s.timed++
 	s.iterations++
 	s.consecFail = 0
 	nowNanos := now.UnixNano()
-	idle := s.idleAccum.Swap(0)
+	idle := s.lkIdle
+	s.lkIdle = 0
 	origin := s.lastAtNanos
 	if origin == noTime {
-		origin = s.firstBegin.Load() // see foldLocked: first-completion anchor
+		origin = s.lkFirst // see foldLocked: first-completion anchor
 	}
 	if origin != noTime {
 		gap := float64(nowNanos-origin-idle) / 1e9
@@ -336,14 +494,21 @@ func (s *StageStats) ObserveWorkerExit(retired bool) {
 
 // resetGapLocked clears the inter-completion gap state when the stage has
 // no live workers: the next completion starts a fresh rate history instead
-// of deriving a gap from before the pause. Safe to touch the shared atomics
-// here because with zero live workers there are no producers.
+// of deriving a gap from before the pause. Recorders still registered
+// belong to abandoned slots, whose idle banks are dropped and whose first
+// stamps no longer anchor anything; a slot started later anchors the next
+// gap with its own first stamped Begin.
 func (s *StageStats) resetGapLocked() {
 	s.lastAtNanos = noTime
-	s.lastEnd.Store(noTime)
-	s.idleAccum.Store(0)
-	s.firstBegin.Store(noTime)
-	s.open.Store(0)
+	s.idleBank = 0
+	for _, rec := range s.recs {
+		rec.foldedIdle = rec.idle.Load()
+		rec.first.Store(noTime)
+	}
+	s.lkLastEnd = noTime
+	s.lkIdle = 0
+	s.lkFirst = noTime
+	s.lkOpen = 0
 }
 
 // ObserveFailure records one functor panic absorbed by the stage and
@@ -370,28 +535,25 @@ func (s *StageStats) ObserveStall(duringDrain bool) {
 	s.mu.Unlock()
 }
 
-// ObserveAbandon records that the watchdog abandoned a stalled worker slot:
-// the live gauge drops (the slot no longer counts toward the stage's
-// capacity) and the zombie gauge rises until the stuck goroutine, if it
-// ever unblocks, exits. As with ObserveWorkerExit, the gap state is cleared
-// when the stage goes idle.
-func (s *StageStats) ObserveAbandon() {
+// ObserveAbandon records that the watchdog abandoned a stalled worker slot
+// whose current recorder is rec (nil for none): the live gauge drops (the
+// slot no longer counts toward the stage's capacity) and the zombie gauge
+// rises until the stuck goroutine, if it ever unblocks, exits. The slot's
+// window was open (that is what stalled) and its late End stays invisible
+// to the monitors, so the recorder is marked dead: siblings stop waiting
+// for it to close before they bank stage idle time, and the fold stops
+// reading its close time. As with ObserveWorkerExit, the gap state is
+// cleared when the stage goes idle.
+func (s *StageStats) ObserveAbandon(rec *SlotRecorder) {
 	s.mu.Lock()
+	if rec != nil {
+		rec.dead.Store(true)
+	}
 	s.foldLocked()
 	if s.workers > 0 {
 		s.workers--
 	}
 	s.zombies++
-	// The abandoned slot's window was open (that is what stalled); close it
-	// here since its late End, if any, stays invisible to the monitors. The
-	// moment idleness began is unknown, so no idle stretch is banked until
-	// the next window opens.
-	for {
-		o := s.open.Load()
-		if o <= 0 || s.open.CompareAndSwap(o, o-1) {
-			break
-		}
-	}
 	if s.workers == 0 {
 		s.resetGapLocked()
 	}
@@ -506,8 +668,8 @@ func (s *StageStats) Snapshot() StageSnapshot {
 		Zombies:             s.zombies,
 		Shed:                s.shedPast,
 	}
-	if s.iterations > 0 {
-		snap.MeanExecTime = s.execSum / float64(s.iterations)
+	if s.timed > 0 {
+		snap.MeanExecTime = s.execSum / float64(s.timed)
 	}
 	return snap
 }

@@ -22,7 +22,8 @@ import (
 // through the shard CAS, so the accounting getters stay exact.
 //
 // Acquire/Release are also usable in a non-blocking mode (TryAcquire) so the
-// scheduler can detect saturation without stalling.
+// scheduler can detect saturation without stalling; TryAcquire may fail
+// while a token is free, Acquire never sleeps while one is.
 //
 // Tokens are not pinned to a home shard: a token taken from shard 0 may be
 // returned to shard 1. The overflow panic is therefore keyed to the global
@@ -113,7 +114,8 @@ func (c *Contexts) N() int { return c.n }
 // One CAS attempt per shard per pass: a CAS loss means another context just
 // moved on that shard, so the probe advances rather than fighting for the
 // same cache line. A false return is a snapshot ("all shards looked empty"),
-// the same guarantee the non-blocking channel receive used to give.
+// the same guarantee the non-blocking channel receive used to give — and
+// like it, it can miss a token (see TryAcquire).
 // The second return is the winning shard's pre-CAS word: it carries both the
 // free count (from which a single-shard pool derives the exact occupancy) and
 // the acquire count (which decides occupancy sampling), so noteAcquire needs
@@ -126,6 +128,24 @@ func (c *Contexts) takeToken() (shard int, prev uint64, ok bool) {
 		}
 		if c.shards[i].word.CompareAndSwap(w, w-1+acquireInc) {
 			return i, w, true
+		}
+	}
+	return 0, 0, false
+}
+
+// takeTokenExact is takeToken for the blocking slow path: a lost CAS is
+// retried while the shard still shows a free token, so a false return
+// means each shard was seen empty when the pass reached it.
+func (c *Contexts) takeTokenExact() (shard int, prev uint64, ok bool) {
+	for i := range c.shards {
+		for {
+			w := c.shards[i].word.Load()
+			if w&freeMask == 0 {
+				break
+			}
+			if c.shards[i].word.CompareAndSwap(w, w-1+acquireInc) {
+				return i, w, true
+			}
 		}
 	}
 	return 0, 0, false
@@ -150,7 +170,8 @@ func (c *Contexts) putToken() bool {
 	return false
 }
 
-// Acquire blocks until a context is free and claims it.
+// Acquire blocks until a context is free and claims it. It never sleeps
+// while a token is free: see acquireSlow.
 func (c *Contexts) Acquire() {
 	if shard, prev, ok := c.takeToken(); ok {
 		c.noteAcquire(shard, prev)
@@ -159,18 +180,23 @@ func (c *Contexts) Acquire() {
 	c.acquireSlow()
 }
 
-// acquireSlow parks the caller until a token appears. Registering in
-// waitBlocked *before* the locked re-check closes the lost-wakeup window: a
-// releaser publishes its token before it reads waitBlocked, so either the
-// re-check sees the token or the releaser sees the registration and
-// broadcasts.
+// acquireSlow parks the caller until a token appears. Two orderings keep it
+// from sleeping through a free token. The caller registers in waitBlocked
+// before its locked re-check, and a releaser publishes its token before it
+// reads waitBlocked; so a token the re-check's pass could not see was
+// released by a Release that sees the registration. That Release
+// broadcasts under mu, which the waiter holds from the re-check until
+// cond.Wait parks it, so the broadcast cannot fall between the two and is
+// not lost. The re-check itself retries a lost CAS (takeTokenExact), so it
+// does not pass over a token left in a shard another acquirer just took
+// from.
 func (c *Contexts) acquireSlow() {
 	c.waitBlocked.Add(1)
 	c.mu.Lock()
-	shard, prev, ok := c.takeToken()
+	shard, prev, ok := c.takeTokenExact()
 	for !ok {
 		c.cond.Wait()
-		shard, prev, ok = c.takeToken()
+		shard, prev, ok = c.takeTokenExact()
 	}
 	c.mu.Unlock()
 	c.waitBlocked.Add(-1)
@@ -178,6 +204,11 @@ func (c *Contexts) acquireSlow() {
 }
 
 // TryAcquire claims a context if one is free and reports whether it did.
+// Like sync.Mutex.TryLock it may fail spuriously: it may return false while
+// a token is free, because its single pass over the shards moves on after
+// losing a CAS to a concurrent acquire or release instead of retrying, and
+// a token released into a shard the pass already left is not seen. A false
+// return says the pool looked full, not that it was.
 func (c *Contexts) TryAcquire() bool {
 	if shard, prev, ok := c.takeToken(); ok {
 		c.noteAcquire(shard, prev)
@@ -195,18 +226,23 @@ func (c *Contexts) TryAcquire() bool {
 // shard read here raced a release, so it is clamped to at least 1 (the
 // sampling acquirer itself holds a token). It can never exceed n because free
 // counts are nonnegative. The occupancy integral is only written for sampled
-// acquires; the peak watermark is checked on every acquire.
+// acquires, and a multi-shard pool only scans its shards when the acquire is
+// sampled or the peak watermark can still rise (peak < n): once the pool has
+// been full, an unsampled acquire has nothing left to record.
 func (c *Contexts) noteAcquire(shard int, prev uint64) {
+	sampled := (prev>>freeBits)%sampleEvery == 0
 	var b int64
 	if len(c.shards) == 1 {
 		b = int64(c.n) - int64(prev&freeMask) + 1
-	} else {
+	} else if sampled || c.peak.Load() < int64(c.n) {
 		b = c.sampleBusy()
+	} else {
+		return
 	}
 	if b > c.peak.Load() {
 		c.bumpPeak(b)
 	}
-	if (prev>>freeBits)%sampleEvery == 0 {
+	if sampled {
 		c.shards[shard].busySum.Add(b)
 		c.shards[shard].samples.Add(1)
 	}
