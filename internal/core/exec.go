@@ -30,11 +30,7 @@ type Exec struct {
 	// unix nanoseconds consistent with clock.Now(). For the wall clock it
 	// reads only the runtime's monotonic counter (roughly half the cost of
 	// time.Now) and rebases it onto a wall epoch captured at construction;
-	// virtual clocks go through the slowClock func instead. When the
-	// machine's TSC passed calibration (tscclock.go), tscClock selects the
-	// cheaper raw-counter read; the flag is resolved once at construction
-	// so the hot path pays one branch, not a global lookup.
-	tscClock  bool
+	// virtual clocks go through the slowClock func instead.
 	fastClock bool
 	epochUnix int64 // clock.Now().UnixNano() at construction
 	epochMono int64 // runtime nanotime() at construction
@@ -385,8 +381,6 @@ func New(root *NestSpec, opts ...Option) (*Exec, error) {
 	e.features.Register(platform.FeatureBusyContexts,
 		func() float64 { return float64(e.contexts.Busy()) })
 	if _, ok := e.clock.(platform.WallClock); ok {
-		calibrateTSC()
-		e.tscClock = tscOK
 		e.fastClock = true
 		e.epochUnix = time.Now().UnixNano()
 		e.epochMono = nanotime()
@@ -397,13 +391,10 @@ func New(root *NestSpec, opts ...Option) (*Exec, error) {
 	return e, nil
 }
 
-// nowNanos is the Begin/End hot path's clock read; see the fastClock fields
-// and tscclock.go. Preference order: calibrated TSC, runtime monotonic
-// counter rebased onto the wall epoch, then the virtual clock's func.
+// nowNanos is the Begin/End hot path's clock read; see the fastClock
+// fields. The wall clock reads the runtime monotonic counter rebased onto
+// the wall epoch; any other clock goes through its func.
 func (e *Exec) nowNanos() int64 {
-	if e.tscClock {
-		return tscNow()
-	}
 	if e.fastClock {
 		return e.epochUnix + nanotime() - e.epochMono
 	}

@@ -101,7 +101,7 @@ func replay(t *testing.T, sched []section, slots int, full bool) (monitor.StageS
 	ws := make([]*Worker, slots)
 	for i := range ws {
 		st.ObserveWorkerStart()
-		ws[i] = &Worker{exec: e, stats: st, slot: i, rec: st.NewSlotRecorder(), samp: newSampler(i)}
+		ws[i] = &Worker{exec: e, slot: i, rec: st.NewSlotRecorder(), samp: newSampler(i)}
 	}
 	type event struct {
 		at    int64

@@ -131,9 +131,12 @@ func TestDetectorEnvVar(t *testing.T) {
 }
 
 // directWorker builds a bare Worker on e for sequence-level tests: not part
-// of any run, so Suspending is always false.
-func directWorker(e *Exec) *Worker {
-	return &Worker{exec: e, stats: e.mon.Stage(monitor.Key{Nest: "n", Stage: "s"})}
+// of any run, so Suspending is always false. Its slot recorder is released
+// when the test ends.
+func directWorker(t *testing.T, e *Exec) *Worker {
+	rec := e.mon.Stage(monitor.Key{Nest: "n", Stage: "s"}).NewSlotRecorder()
+	t.Cleanup(rec.Release)
+	return &Worker{exec: e, rec: rec}
 }
 
 // TestDetectorAllowsDrainSequence: Begin → work → End with no status
@@ -145,7 +148,7 @@ func TestDetectorAllowsDrainSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := directWorker(e)
+	w := directWorker(t, e)
 	for i := 0; i < 3; i++ {
 		w.Begin() //dopevet:ignore suspendcheck drain sequence under test
 		w.End()
@@ -158,7 +161,7 @@ func TestDetectorUnbalancedEndPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := directWorker(e)
+	w := directWorker(t, e)
 	w.Begin() //dopevet:ignore suspendcheck sequence under test
 	w.End()
 	defer func() {

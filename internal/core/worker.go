@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"dope/internal/monitor"
-)
+import "dope/internal/monitor"
 
 // Worker is the execution context handed to a Functor. It provides the
 // paper's Task methods: Begin/End delimit the CPU-intensive section (Table
@@ -14,11 +10,10 @@ import (
 // A Worker is owned by exactly one goroutine; it must not escape the
 // functor invocation.
 type Worker struct {
-	exec  *Exec
-	run   *run
-	key   monitor.Key
-	stats *monitor.StageStats
-	path  []string
+	exec *Exec
+	run  *run
+	key  monitor.Key
+	path []string
 	// top is true for workers of the root loop; only they observe a
 	// whole-run suspension, because nested instances always drain naturally
 	// with their parent's current work item. Slot retirement (an in-place
@@ -32,9 +27,7 @@ type Worker struct {
 	// this group's slots); false for hand-built Workers, whose Begin/End
 	// never interact with the watchdog anyway.
 	windowed bool
-	// rec is this worker's private monitor accumulator (one per attempt);
-	// nil only for hand-built Workers in tests, which fall back to the
-	// stage's locked Observe methods.
+	// rec is this worker's private monitor accumulator (one per attempt).
 	rec *monitor.SlotRecorder
 
 	holding bool
@@ -114,7 +107,7 @@ func (w *Worker) Begin() Status {
 	// The clock is read when the section is timed, when the watchdog needs
 	// the window's start, and when the stage has sibling slots, whose stage
 	// idle accounting needs every Begin's time (monitor.SlotRecorder.Slots).
-	if w.timed || w.windowed || w.rec == nil || w.rec.Slots() > 1 {
+	if w.timed || w.windowed || w.rec.Slots() > 1 {
 		w.beginNanos = e.nowNanos()
 	} else {
 		w.beginNanos = monitor.NoStamp
@@ -129,12 +122,9 @@ func (w *Worker) Begin() Status {
 	if w.counted {
 		// Tell the monitors the stage is working again, so the idle wait
 		// that just ended is excluded from the rate's next gap.
-		switch {
-		case w.rec == nil:
-			w.stats.ObserveBegin(time.Unix(0, w.beginNanos))
-		case w.beginNanos == monitor.NoStamp:
+		if w.beginNanos == monitor.NoStamp {
 			w.rec.ObserveBeginUntimed()
-		default:
+		} else {
 			w.rec.ObserveBegin(w.beginNanos)
 		}
 	}
@@ -160,18 +150,12 @@ func (w *Worker) End() Status {
 		}
 		w.holding = false
 		if observe {
-			switch {
-			case w.rec == nil:
-				now := e.nowNanos()
-				t := time.Unix(0, now)
-				w.stats.ObserveIteration(time.Duration(sectionNanos(now, w.beginNanos)), t)
-				w.stats.ObserveEnd(t)
-			case w.timed:
+			if w.timed {
 				now := e.nowNanos()
 				dur := sectionNanos(now, w.beginNanos)
 				w.rec.ObserveEnd(dur, now)
 				w.samp.timedEnd(dur, now, e.interval, w.rec.Slots())
-			default:
+			} else {
 				w.rec.ObserveEndUntimed(w.beginNanos)
 				w.samp.untimedEnd()
 			}
@@ -186,9 +170,9 @@ func (w *Worker) End() Status {
 	return Executing
 }
 
-// sectionNanos is the length of a section from begin to now. It guards the
-// monitors against a clock anomaly (e.g. a TSC that failed to stay invariant
-// after calibration) by clamping to zero.
+// sectionNanos is the length of a section from begin to now, clamped to
+// zero: a virtual clock may step backwards between Begin and End, and a
+// negative duration must never reach the monitors' sums.
 func sectionNanos(now, begin int64) int64 {
 	if d := now - begin; d > 0 {
 		return d

@@ -309,7 +309,7 @@ func (g *workerGroup) runSlot(s *groupSlot) {
 // site — so the stack still contains the panicking frames.
 func (g *workerGroup) attempt(s *groupSlot) (st Status, p any, stack []byte) {
 	w := &Worker{
-		exec: g.exec, run: g.r, key: g.key, stats: g.stats,
+		exec: g.exec, run: g.r, key: g.key,
 		path: g.path, top: g.top, slot: s.id, item: g.item,
 		group: g, gslot: s, windowed: g.windowed,
 		rec:  g.stats.NewSlotRecorder(),

@@ -13,11 +13,12 @@
 // Each worker slot owns a SlotRecorder — a padded accumulator struct written
 // only by that worker — holding its iteration count, its open/closed state,
 // its newest window close and its banked share of stage idle time. A fold,
-// run under the stage mutex by the control-loop tick and by every locked
-// getter or slow-path observer, drains the accumulators into the EWMAs using
-// watermarks and derives the stage's idle time from the slot data it walks,
-// so Report() keeps its meaning (including the idle-rate correction) while
-// ObserveBegin/End on the worker path touch only the slot's own cache lines.
+// run under the stage mutex by the control-loop tick, by Snapshot and by
+// the slot-lifecycle and failure observers, drains the accumulators into
+// the EWMAs using watermarks and derives the stage's idle time from the
+// slot data it walks, so Report() keeps its meaning (including the
+// idle-rate correction) while ObserveBegin/End on the worker path touch
+// only the slot's own cache lines.
 // See DESIGN.md for the memory-ordering invariants and the sampling rule.
 package monitor
 
@@ -25,7 +26,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dope/internal/stats"
 )
@@ -77,17 +77,6 @@ type StageStats struct {
 	// completion.
 	idleBank int64
 
-	// Idle accounting of the locked observation path (StageStats.ObserveBegin,
-	// ObserveEnd, ObserveIteration), used by Workers built without a
-	// SlotRecorder. It has the same meaning as the slot path's: lkOpen
-	// counts open windows, lkLastEnd is the newest close (noTime if none),
-	// lkIdle the idle nanoseconds banked since the last completion, and
-	// lkFirst the first window open since reset, the first gap's origin.
-	lkOpen    int
-	lkLastEnd int64
-	lkIdle    int64
-	lkFirst   int64
-
 	// Worker-slot lifecycle, maintained by the executive's stage worker
 	// groups. With in-place resizing the configured extent and the number
 	// of workers actually iterating can briefly diverge (retiring slots
@@ -122,8 +111,6 @@ func newStageStats(alpha float64) *StageStats {
 		rate:     stats.NewEWMA(alpha),
 	}
 	s.lastAtNanos = noTime
-	s.lkLastEnd = noTime
-	s.lkFirst = noTime
 	s.live.Store(new([]*SlotRecorder))
 	return s
 }
@@ -321,9 +308,9 @@ func (rec *SlotRecorder) setEnd(end int64) {
 // foldLocked drains every live slot accumulator into the durable aggregate.
 // Callers hold s.mu. The batch of k new completions updates the EWMAs as k
 // observations of the batch mean (see stats.EWMA.ObserveBatch): for k == 1
-// — every fold triggered by a getter right after a completion, and all
-// test-driven sequences — this is bit-for-bit the per-iteration update; for
-// larger batches it is the same estimator at tick granularity.
+// — every fold triggered by a getter right after a completion — this is
+// bit-for-bit the per-iteration update; for larger batches it is the same
+// estimator at tick granularity.
 //
 // The rate observation divides the completions by the stage's working time,
 // the wall time during which at least one window was open. With one slot
@@ -398,64 +385,6 @@ func (s *StageStats) foldLocked() {
 	}
 }
 
-// ObserveBegin records that a worker opened a Begin/End window at now: the
-// stage is working again, so any idle stretch that just ended is banked for
-// the next completion's gap correction.
-func (s *StageStats) ObserveBegin(now time.Time) {
-	nowNanos := now.UnixNano()
-	s.mu.Lock()
-	if s.lkOpen == 0 {
-		if le := s.lkLastEnd; le != noTime && nowNanos > le {
-			s.lkIdle += nowNanos - le
-		} else if le == noTime && s.lkFirst == noTime {
-			s.lkFirst = nowNanos
-		}
-	}
-	s.lkOpen++
-	s.mu.Unlock()
-}
-
-// ObserveEnd records that a worker closed its Begin/End window at now; when
-// it was the last open window, the stage is idle from now on.
-func (s *StageStats) ObserveEnd(now time.Time) {
-	s.mu.Lock()
-	s.lkLastEnd = now.UnixNano()
-	if s.lkOpen > 0 {
-		s.lkOpen--
-	}
-	s.mu.Unlock()
-}
-
-// ObserveIteration records one Begin..End section of d at time now. The
-// rate observation uses the inter-completion gap minus the idle time banked
-// by ObserveBegin/ObserveEnd, so the first completion after a quiet spell
-// reflects how fast the stage works, not how long it waited for input.
-func (s *StageStats) ObserveIteration(d time.Duration, now time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.foldLocked()
-	sec := d.Seconds()
-	s.execTime.Observe(sec)
-	s.execSum += sec
-	s.timed++
-	s.iterations++
-	s.consecFail = 0
-	nowNanos := now.UnixNano()
-	idle := s.lkIdle
-	s.lkIdle = 0
-	origin := s.lastAtNanos
-	if origin == noTime {
-		origin = s.lkFirst // see foldLocked: first-completion anchor
-	}
-	if origin != noTime {
-		gap := float64(nowNanos-origin-idle) / 1e9
-		if gap > 0 {
-			s.rate.Observe(1 / gap)
-		}
-	}
-	s.lastAtNanos = nowNanos
-}
-
 // ObserveInstanceDone records that one instance of the stage finished.
 func (s *StageStats) ObserveInstanceDone() {
 	s.mu.Lock()
@@ -505,10 +434,6 @@ func (s *StageStats) resetGapLocked() {
 		rec.foldedIdle = rec.idle.Load()
 		rec.first.Store(noTime)
 	}
-	s.lkLastEnd = noTime
-	s.lkIdle = 0
-	s.lkFirst = noTime
-	s.lkOpen = 0
 }
 
 // ObserveFailure records one functor panic absorbed by the stage and

@@ -9,12 +9,19 @@ import (
 
 var key = Key{Nest: "video", Stage: "transform"}
 
+// observeWindow records one timed Begin..End window of rec.
+func observeWindow(rec *SlotRecorder, begin, end time.Time) {
+	rec.ObserveBegin(begin.UnixNano())
+	rec.ObserveEnd(end.Sub(begin).Nanoseconds(), end.UnixNano())
+}
+
 func TestStageStatsExecTime(t *testing.T) {
 	r := NewRegistry(0.5)
 	s := r.Stage(key)
+	rec := s.NewSlotRecorder()
 	now := time.Unix(0, 0)
 	for i := 0; i < 20; i++ {
-		s.ObserveIteration(10*time.Millisecond, now)
+		observeWindow(rec, now, now.Add(10*time.Millisecond))
 		now = now.Add(10 * time.Millisecond)
 	}
 	if got := s.Snapshot().ExecTime; math.Abs(got-0.010) > 1e-6 {
@@ -113,8 +120,11 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			k := Key{Nest: "n", Stage: "s"}
+			rec := r.Stage(k).NewSlotRecorder()
+			defer rec.Release()
 			for j := 0; j < 200; j++ {
-				r.Stage(k).ObserveIteration(time.Millisecond, time.Unix(int64(j), 0))
+				at := time.Unix(int64(j), 0)
+				observeWindow(rec, at, at.Add(time.Millisecond))
 				rel := r.RegisterLoad(k, func() float64 { return 1 })
 				r.Snapshot(k)
 				rel()
@@ -142,7 +152,7 @@ func TestFailureCounters(t *testing.T) {
 		t.Fatalf("counters = %d/%d", s.Snapshot().Failures, s.Snapshot().ConsecutiveFailures)
 	}
 	// A completed iteration breaks the streak but not the total.
-	s.ObserveIteration(time.Millisecond, time.Unix(1, 0))
+	observeWindow(s.NewSlotRecorder(), time.Unix(1, 0), time.Unix(1, 0).Add(time.Millisecond))
 	if s.Snapshot().ConsecutiveFailures != 0 {
 		t.Fatalf("streak after iteration = %d", s.Snapshot().ConsecutiveFailures)
 	}
@@ -165,20 +175,18 @@ func TestRateExcludesIdleWait(t *testing.T) {
 	s := newStageStats(0.5)
 
 	s.ObserveWorkerStart() // A
+	a := s.NewSlotRecorder()
 	t0 := time.Unix(100, 0)
-	s.ObserveBegin(t0.Add(-10 * time.Millisecond))
-	s.ObserveIteration(10*time.Millisecond, t0)
-	s.ObserveEnd(t0)
+	observeWindow(a, t0.Add(-10*time.Millisecond), t0)
 
-	s.ObserveWorkerStart()     // B arrives
+	s.ObserveWorkerStart() // B arrives
+	b := s.NewSlotRecorder()
+	a.Release()
 	s.ObserveWorkerExit(false) // A exits; workers 2 -> 1, lastAt survives
 
 	// 60 s with no window open, then B completes one 10 ms iteration.
 	begin := t0.Add(60 * time.Second)
-	s.ObserveBegin(begin)
-	end := begin.Add(10 * time.Millisecond)
-	s.ObserveIteration(10*time.Millisecond, end)
-	s.ObserveEnd(end)
+	observeWindow(b, begin, begin.Add(10*time.Millisecond))
 
 	// The gap net of banked idle time is the 10 ms window: ~100/s.
 	if got := s.Snapshot().Rate; math.Abs(got-100) > 5 {
@@ -193,22 +201,20 @@ func TestRateIdleInterleaved(t *testing.T) {
 	s := newStageStats(0.5)
 	s.ObserveWorkerStart()
 	s.ObserveWorkerStart()
+	a, b := s.NewSlotRecorder(), s.NewSlotRecorder()
 
 	at := func(ms int) time.Time { return time.Unix(50, 0).Add(time.Duration(ms) * time.Millisecond) }
 
 	// Worker A: window [0, 30]; completion at 30.
-	s.ObserveBegin(at(0))
+	a.ObserveBegin(at(0).UnixNano())
 	// Worker B: window [10, 20] overlaps A's; its completion at 20 seeds
-	// lastAt.
-	s.ObserveBegin(at(10))
-	s.ObserveIteration(10*time.Millisecond, at(20))
-	s.ObserveEnd(at(20))
-	s.ObserveIteration(30*time.Millisecond, at(30))
-	s.ObserveEnd(at(30))
+	// lastAt. Each Snapshot folds the completion just recorded.
+	observeWindow(b, at(10), at(20))
+	s.Snapshot()
+	a.ObserveEnd(int64(30*time.Millisecond), at(30).UnixNano())
+	s.Snapshot()
 	// Idle [30, 130]: no window open. Then A iterates [130, 140].
-	s.ObserveBegin(at(130))
-	s.ObserveIteration(10*time.Millisecond, at(140))
-	s.ObserveEnd(at(140))
+	observeWindow(a, at(130), at(140))
 
 	// Gap for the first completion at 20: anchored at the stage's first
 	// window open (A's at 0) -> 20 ms -> 50/s. Gap for the completion at
@@ -230,21 +236,23 @@ func TestRateIdleInterleaved(t *testing.T) {
 func TestRateResetOnIdleStage(t *testing.T) {
 	s := newStageStats(0.5)
 	s.ObserveWorkerStart()
+	a := s.NewSlotRecorder()
 	t0 := time.Unix(100, 0)
-	s.ObserveBegin(t0.Add(-10 * time.Millisecond))
-	s.ObserveIteration(10*time.Millisecond, t0)
-	s.ObserveEnd(t0)
+	observeWindow(a, t0.Add(-10*time.Millisecond), t0)
+	a.Release()
 	s.ObserveWorkerExit(false) // workers 1 -> 0
 
-	rate := s.Snapshot().Rate // no inter-completion gap observed yet
+	rate := s.Snapshot().Rate
 
-	// A new instance an hour later: its first completion must not observe
-	// a gap at all.
+	// A new two-slot instance an hour later, so the rate comes from the
+	// inter-completion gap: its first completion must derive that gap from
+	// its own first window, not from the completion before the pause.
 	later := t0.Add(time.Hour)
 	s.ObserveWorkerStart()
-	s.ObserveBegin(later)
-	s.ObserveIteration(10*time.Millisecond, later.Add(10*time.Millisecond))
-	s.ObserveEnd(later.Add(10 * time.Millisecond))
+	s.ObserveWorkerStart()
+	c := s.NewSlotRecorder()
+	s.NewSlotRecorder() // a sibling that never opens a window
+	observeWindow(c, later, later.Add(10*time.Millisecond))
 	if got := s.Snapshot().Rate; got != rate {
 		t.Fatalf("first completion after a worker-less pause moved the rate: %v -> %v", rate, got)
 	}
@@ -256,7 +264,7 @@ func TestRateResetOnIdleStage(t *testing.T) {
 // mean over reporting instances.
 func TestSnapshotPollsLiveGauges(t *testing.T) {
 	r := NewRegistry(0.2)
-	r.Stage(key).ObserveIteration(10*time.Millisecond, time.Unix(1, 0))
+	observeWindow(r.Stage(key).NewSlotRecorder(), time.Unix(1, 0), time.Unix(1, 0).Add(10*time.Millisecond))
 	relA := r.RegisterShed(key, func() uint64 { return 5 })
 	relB := r.RegisterShed(key, func() uint64 { return 2 })
 	r.RegisterSojourn(key, func() float64 { return 0.010 })

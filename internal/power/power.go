@@ -92,49 +92,6 @@ func (m *Model) BudgetToContexts(budget float64) int {
 	return n
 }
 
-// EnergyMeter integrates a power signal over time into joules. Drive it by
-// calling Observe with the instantaneous draw whenever the draw changes (or
-// periodically); the meter charges the previous draw for the elapsed
-// interval. Safe for concurrent use.
-type EnergyMeter struct {
-	clock platform.Clock
-
-	mu      sync.Mutex
-	joules  float64
-	lastW   float64
-	lastAt  time.Time
-	started bool
-}
-
-// NewEnergyMeter returns a meter using clock (nil = wall clock).
-func NewEnergyMeter(clock platform.Clock) *EnergyMeter {
-	if clock == nil {
-		clock = platform.WallClock{}
-	}
-	return &EnergyMeter{clock: clock}
-}
-
-// Observe charges the previously observed draw for the time since the last
-// observation, then records watts as the current draw.
-func (m *EnergyMeter) Observe(watts float64) {
-	now := m.clock.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.started {
-		m.joules += m.lastW * now.Sub(m.lastAt).Seconds()
-	}
-	m.lastW = watts
-	m.lastAt = now
-	m.started = true
-}
-
-// Joules returns the energy consumed up to the last observation.
-func (m *EnergyMeter) Joules() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.joules
-}
-
 // PDU wraps a power source with the sampling-rate limit of a real power
 // distribution unit. Reads between samples return the last sampled value.
 // Safe for concurrent use.

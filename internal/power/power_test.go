@@ -173,32 +173,3 @@ func TestBudgetSafetyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEnergyMeterIntegration(t *testing.T) {
-	clock := platform.NewVirtualClock(time.Unix(0, 0))
-	m := NewEnergyMeter(clock)
-	m.Observe(100) // 100 W from t=0
-	clock.Advance(10 * time.Second)
-	m.Observe(200) // charged 100 W × 10 s = 1000 J; now 200 W
-	clock.Advance(5 * time.Second)
-	m.Observe(0) // charged 200 W × 5 s = 1000 J
-	if got := m.Joules(); math.Abs(got-2000) > 1e-9 {
-		t.Fatalf("joules = %v, want 2000", got)
-	}
-	clock.Advance(time.Hour) // zero draw accrues nothing
-	m.Observe(0)
-	if got := m.Joules(); math.Abs(got-2000) > 1e-9 {
-		t.Fatalf("joules after idle = %v", got)
-	}
-}
-
-func TestEnergyMeterDefaults(t *testing.T) {
-	m := NewEnergyMeter(nil)
-	if m.Joules() != 0 {
-		t.Fatal("fresh meter should be zero")
-	}
-	m.Observe(500)
-	if m.Joules() != 0 {
-		t.Fatal("first observation charges nothing")
-	}
-}

@@ -99,29 +99,3 @@ func Percentile(xs []float64, p float64) (float64, error) {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
-// LinearFit fits y = a + b*x by ordinary least squares and returns the
-// intercept a and slope b. It requires at least two points with distinct x
-// values.
-func LinearFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("stats: mismatched lengths")
-	}
-	if len(xs) < 2 {
-		return 0, 0, ErrEmpty
-	}
-	mx := Mean(xs)
-	my := Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, errors.New("stats: degenerate x values")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, nil
-}

@@ -120,31 +120,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	// y = 2 + 3x exactly.
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{2, 5, 8, 11}
-	a, b, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(a, 2, 1e-9) || !almostEqual(b, 3, 1e-9) {
-		t.Errorf("fit = (%v, %v), want (2, 3)", a, b)
-	}
-}
-
-func TestLinearFitErrors(t *testing.T) {
-	if _, _, err := LinearFit([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths should error")
-	}
-	if _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point should error")
-	}
-	if _, _, err := LinearFit([]float64{2, 2}, []float64{1, 3}); err == nil {
-		t.Error("degenerate x should error")
-	}
-}
-
 // Property: mean is bounded by min and max.
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(xs []float64) bool {

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // Welford accumulates mean and variance online using Welford's algorithm,
 // which is numerically stable for long runs. The zero value is ready to use.
 // It is not safe for concurrent use.
@@ -45,9 +43,6 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n-1)
 }
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Min returns the smallest observation, or 0 before any observation.
 func (w *Welford) Min() float64 { return w.min }

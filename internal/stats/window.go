@@ -3,9 +3,6 @@ package stats
 // Window is a fixed-capacity sliding window of float64 observations with an
 // O(1) running sum. When full, each new observation evicts the oldest.
 // It is not safe for concurrent use.
-//
-// The WQT-H mechanism uses a Window over work-queue occupancies to implement
-// its "for more than N consecutive tasks" hysteresis condition.
 type Window struct {
 	buf  []float64
 	head int
