@@ -4,7 +4,7 @@ GO ?= go
 # this timeout so a hung example fails CI instead of wedging it.
 EXAMPLE_TIMEOUT ?= 120s
 
-.PHONY: build test vet dope-vet examples stalls bench ci
+.PHONY: build test vet dope-vet examples stalls bench api ci
 
 build:
 	$(GO) build ./...
@@ -51,5 +51,11 @@ bench:
 				$(if $(RECORD),-out BENCH_$$suite.json,) -gate; \
 		done; \
 	done
+
+# Regenerate api.txt, the root package's exported surface that
+# TestAPISurface compares against; run it for an intended API change and
+# commit the diff with it.
+api:
+	$(GO) test -run TestAPISurface -update-api .
 
 ci: build vet test examples

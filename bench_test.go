@@ -258,8 +258,6 @@ func BenchmarkContextTokens(b *testing.B) {
 // measures the kernel alone and the kernel inside a monitored Begin/End
 // section on the real runtime, and reports the overhead percentage.
 func BenchmarkMonitorOverhead(b *testing.B) {
-	apps.SetNativeWork(true)
-	defer apps.SetNativeWork(false)
 	const units = 500_000 // ≈ 2 ms of real work per iteration (typical task grain)
 
 	bare := time.Now()

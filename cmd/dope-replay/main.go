@@ -14,6 +14,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+	"strings"
 
 	"dope"
 	"dope/internal/replay"
@@ -22,10 +24,9 @@ import (
 func main() {
 	var (
 		logPath = flag.String("log", "", "JSONL monitoring log (from dope-trace -record)")
-		mech    = flag.String("mechanism", "tbf", "mechanism: proportional | wqth | wqlinear | tb | tbf | fdp | seda | tpc | edp | loadprop")
+		mech    = flag.String("mechanism", "tbf", "mechanism: a name PUT /mechanism accepts ("+names()+")")
 		threads = flag.Int("threads", 24, "hardware-thread budget")
 		watts   = flag.Float64("watts", 720, "power budget for tpc")
-		mmax    = flag.Int("mmax", 8, "Mmax for wqth/wqlinear")
 	)
 	flag.Parse()
 	if *logPath == "" {
@@ -43,14 +44,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dope-replay:", err)
 		os.Exit(1)
 	}
-	m := pick(*mech, *threads, *watts, *mmax)
-	if m == nil {
-		fmt.Fprintf(os.Stderr, "dope-replay: unknown mechanism %q\n", *mech)
-		os.Exit(2)
+	name, decisions := *mech, []replay.Decision(nil)
+	if name != "static" {
+		newMech, ok := dope.MechanismCatalog(*threads, *watts)[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "dope-replay: unknown mechanism %q (want %s)\n", name, names())
+			os.Exit(2)
+		}
+		m := newMech()
+		name, decisions = m.Name(), replay.Replay(entries, m)
 	}
-	decisions := replay.Replay(entries, m)
 	fmt.Printf("replayed %d snapshots through %s: %d decisions\n",
-		len(entries), m.Name(), len(decisions))
+		len(entries), name, len(decisions))
 	for _, d := range decisions {
 		fmt.Printf("  t=%8.3fs snapshot %3d -> %s\n", d.TimeSec, d.Index, d.Config)
 	}
@@ -59,29 +64,13 @@ func main() {
 	}
 }
 
-func pick(name string, threads int, watts float64, mmax int) dope.Mechanism {
-	switch name {
-	case "proportional":
-		return dope.Mechanisms.Proportional(threads)
-	case "wqth":
-		return dope.Mechanisms.WQTH(threads, mmax, 6)
-	case "wqlinear":
-		return dope.Mechanisms.WQLinear(threads, mmax, 14)
-	case "tb":
-		return dope.Mechanisms.TB(threads)
-	case "tbf":
-		return dope.Mechanisms.TBF(threads)
-	case "fdp":
-		return dope.Mechanisms.FDP(threads)
-	case "seda":
-		return dope.Mechanisms.SEDA(8, 1)
-	case "tpc":
-		return dope.Mechanisms.TPC(threads, watts)
-	case "edp":
-		return dope.Mechanisms.EDP(threads)
-	case "loadprop":
-		return dope.Mechanisms.LoadProp(threads)
-	default:
-		return nil
+// names lists the mechanisms -mechanism accepts: "static" (no mechanism,
+// so no decisions) and the catalog the admin console serves.
+func names() string {
+	out := []string{"static"}
+	for name := range dope.MechanismCatalog(0, 0) {
+		out = append(out, name)
 	}
+	sort.Strings(out[1:])
+	return strings.Join(out, " | ")
 }

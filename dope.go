@@ -426,24 +426,12 @@ var Mechanisms = struct {
 	},
 }
 
-// AdminHandler returns an HTTP handler exposing the administrator's
-// console for this running system (§4): GET/PUT /config, GET/PUT
-// /mechanism (by catalog name, or "static"), GET /report, GET /stats,
-// GET /whatif (the live causal what-if profile), GET /healthz. Mount it
-// behind a server with sane timeouts, e.g.:
-//
-//	go admin.NewServer("localhost:7117", d.AdminHandler()).ListenAndServe()
-func (d *DoPE) AdminHandler() http.Handler { return d.AdminHandlerWithCollector(nil) }
-
-// AdminHandlerWithCollector is AdminHandler plus GET /series backed by a
-// collector from AttachCollector — the ring-buffered time-series feed
-// dope-top polls. With a nil collector, /series answers 404.
-func (d *DoPE) AdminHandlerWithCollector(col *metrics.Collector) http.Handler {
-	threads := d.Goal().Threads
-	if threads <= 0 {
-		threads = d.Contexts().N()
-	}
-	factories := map[string]admin.MechanismFactory{
+// MechanismCatalog returns a constructor for every shipped mechanism, keyed
+// by the name PUT /mechanism and dope-replay accept. Each call of a
+// constructor builds a fresh instance for the given thread budget; watts is
+// TPC's power budget.
+func MechanismCatalog(threads int, watts float64) map[string]func() Mechanism {
+	return map[string]func() Mechanism{
 		"proportional": func() Mechanism { return Mechanisms.Proportional(threads) },
 		"wqth":         func() Mechanism { return Mechanisms.WQTH(threads, 8, 6) },
 		"wqlinear":     func() Mechanism { return Mechanisms.WQLinear(threads, 8, 14) },
@@ -451,19 +439,38 @@ func (d *DoPE) AdminHandlerWithCollector(col *metrics.Collector) http.Handler {
 		"tbf":          func() Mechanism { return Mechanisms.TBF(threads) },
 		"fdp":          func() Mechanism { return Mechanisms.FDP(threads) },
 		"seda":         func() Mechanism { return Mechanisms.SEDA(8, 1) },
-		"tpc":          func() Mechanism { return Mechanisms.TPC(threads, d.Goal().PowerBudget) },
+		"tpc":          func() Mechanism { return Mechanisms.TPC(threads, watts) },
 		"edp":          func() Mechanism { return Mechanisms.EDP(threads) },
 		"loadprop":     func() Mechanism { return Mechanisms.LoadProp(threads) },
 		"gradient":     func() Mechanism { return Mechanisms.Gradient(threads) },
 	}
-	return admin.HandlerWithCollector(d.Exec, factories, col)
+}
+
+// AdminHandlerWithCollector returns an HTTP handler exposing the
+// administrator's console for this running system (§4): GET/PUT /config,
+// GET/PUT /mechanism (by MechanismCatalog name, or "static"), GET /report,
+// GET /stats, GET /whatif (the live causal what-if profile), GET /healthz,
+// and GET /series backed by a collector from AttachCollector — the
+// ring-buffered time-series feed dope-top polls. With a nil collector,
+// /series answers 404. The catalog's thread and TPC power budgets are the
+// goal's at the time of the call. Mount it behind a server with sane
+// timeouts, e.g.:
+//
+//	go admin.NewServer("localhost:7117", d.AdminHandlerWithCollector(nil)).ListenAndServe()
+func (d *DoPE) AdminHandlerWithCollector(col *metrics.Collector) http.Handler {
+	g := d.Goal()
+	threads := g.Threads
+	if threads <= 0 {
+		threads = d.Contexts().N()
+	}
+	return admin.HandlerWithCollector(d.Exec, MechanismCatalog(threads, g.PowerBudget), col)
 }
 
 // RegisterPowerModel wires the simulated power substrate into the
 // executive: a linear CPU power model over busy contexts, observed through
-// a PDU emulation with the given sampling period (use
-// DefaultPDUSamplePeriod for the paper's 13 samples/minute, or 0 for
-// unlimited). It returns the model so callers can translate budgets.
+// a PDU emulation with the given sampling period (the paper's PDU allows 13
+// samples a minute, a period of time.Minute/13; 0 means unlimited). It
+// returns the model so callers can translate budgets.
 func (d *DoPE) RegisterPowerModel(samplePeriod time.Duration) *power.Model {
 	model := power.NewDefaultModel(d.Contexts().N())
 	pdu := power.NewPDU(func() float64 {
@@ -472,6 +479,3 @@ func (d *DoPE) RegisterPowerModel(samplePeriod time.Duration) *power.Model {
 	d.Features().Register(platform.FeatureSystemPower, pdu.FeatureCB())
 	return model
 }
-
-// DefaultPDUSamplePeriod is the paper's AP7892 PDU limit: 13 samples/min.
-const DefaultPDUSamplePeriod = power.DefaultSamplePeriod

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -120,6 +121,27 @@ func TestMechanismsCatalog(t *testing.T) {
 		if m.Name() != want {
 			t.Errorf("mechanism name = %q, want %q", m.Name(), want)
 		}
+	}
+}
+
+// TestMechanismCatalog: the name catalog behind PUT /mechanism and
+// dope-replay offers one constructor per shipped mechanism, each call
+// building a fresh instance.
+func TestMechanismCatalog(t *testing.T) {
+	cat := dope.MechanismCatalog(8, 500)
+	if want := reflect.TypeOf(dope.Mechanisms).NumField(); len(cat) != want {
+		t.Errorf("catalog has %d names, Mechanisms %d constructors", len(cat), want)
+	}
+	seen := map[string]string{}
+	for key, newMech := range cat {
+		m := newMech()
+		if m == nil || m == newMech() {
+			t.Fatalf("%s: constructor returned %v, want a fresh mechanism per call", key, m)
+		}
+		if other, dup := seen[m.Name()]; dup {
+			t.Errorf("%s and %s both build %s", key, other, m.Name())
+		}
+		seen[m.Name()] = key
 	}
 }
 
@@ -334,7 +356,7 @@ func TestAdminHandlerServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(d.AdminHandler())
+	srv := httptest.NewServer(d.AdminHandlerWithCollector(nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {

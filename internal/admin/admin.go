@@ -49,7 +49,7 @@ import (
 
 // MechanismFactory constructs a fresh mechanism instance. Factories are
 // used (rather than instances) because mechanisms carry per-run state.
-type MechanismFactory func() core.Mechanism
+type MechanismFactory = func() core.Mechanism
 
 // Handler builds the administration http.Handler for a running executive.
 // mechs maps names accepted by PUT /mechanism to factories; the name

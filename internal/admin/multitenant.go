@@ -9,11 +9,11 @@ import (
 	"dope/internal/tenancy"
 )
 
-// MultiHandler builds the administration handler for a machine running many
-// tenants under a tenancy.Arbiter. Every tenant-facing route keys on the
-// stable registered tenant name — never on registration order — so detail
-// rows survive a tenant being unregistered and re-registered: the name
-// resolves to whatever executive currently owns it at request time.
+// MultiHandlerWithCollector builds the administration handler for a machine
+// running many tenants under a tenancy.Arbiter. Every tenant-facing route
+// keys on the stable registered tenant name — never on registration order —
+// so detail rows survive a tenant being unregistered and re-registered: the
+// name resolves to whatever executive currently owns it at request time.
 //
 // Endpoints (JSON):
 //
@@ -28,20 +28,15 @@ import (
 //	GET /series                  ring-buffered time series from an attached
 //	                             collector (per-tenant quota/used/pressure,
 //	                             arbitration decision log); ?since=<cursor>
-//	                             for incremental fetch; 404 when no
-//	                             collector is attached
+//	                             for incremental fetch; 404 when col is nil
 //	GET /healthz                 machine probe: one tenant's failure does
 //	                             not fail the machine — 503 only when every
 //	                             registered tenant is unhealthy; per-tenant
 //	                             health is always in the detail body
-func MultiHandler(arb *tenancy.Arbiter, mechs map[string]MechanismFactory) http.Handler {
-	return MultiHandlerWithCollector(arb, mechs, nil)
-}
-
-// MultiHandlerWithCollector is MultiHandler plus a live-ops collector
-// backing GET /series — typically the one fed by Arbiter.AttachCollector.
-// The per-tenant delegated surface shares the same collector, so
-// /tenants/<name>/series answers too.
+//
+// The collector is typically the one fed by Arbiter.AttachCollector. The
+// per-tenant delegated surface shares it, so /tenants/<name>/series answers
+// too.
 func MultiHandlerWithCollector(arb *tenancy.Arbiter, mechs map[string]MechanismFactory, col *metrics.Collector) http.Handler {
 	mux := http.NewServeMux()
 	h := &multiState{arb: arb, mechs: mechs, col: col}

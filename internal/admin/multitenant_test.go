@@ -49,7 +49,7 @@ func multiServer(t *testing.T) (*tenancy.Arbiter, *httptest.Server) {
 	arb := tenancy.New(platform.NewContexts(8),
 		tenancy.WithTickInterval(2*time.Millisecond))
 	t.Cleanup(arb.Close)
-	srv := httptest.NewServer(MultiHandler(arb, nil))
+	srv := httptest.NewServer(MultiHandlerWithCollector(arb, nil, nil))
 	t.Cleanup(srv.Close)
 	return arb, srv
 }

@@ -181,7 +181,7 @@ func TestMultiStatsExportsArbitrationChurn(t *testing.T) {
 	arb := tenancy.New(platform.NewContexts(8),
 		tenancy.WithTickInterval(2*time.Millisecond))
 	t.Cleanup(arb.Close)
-	srv := httptest.NewServer(MultiHandler(arb, nil))
+	srv := httptest.NewServer(MultiHandlerWithCollector(arb, nil, nil))
 	t.Cleanup(srv.Close)
 
 	qa, _ := register(t, arb, "alpha")

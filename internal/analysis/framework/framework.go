@@ -97,18 +97,13 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Pos, f.Message, f.Analyzer)
 }
 
-// RunPackage applies every analyzer to one type-checked package and returns
-// the surviving findings: suppression comments (see suppress.go) are
+// RunPackageFacts applies every analyzer to one type-checked package and
+// returns the surviving findings: suppression comments (see suppress.go) are
 // honored, and duplicate findings at the same position are dropped. Analyzer
 // run errors are returned as an error after all analyzers executed.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Finding, error) {
-	return RunPackageFacts(fset, files, pkg, info, analyzers, nil)
-}
-
-// RunPackageFacts is RunPackage with a cross-package fact store: analyzers
-// import facts that earlier passes (over this package's dependencies)
-// exported into facts, and export their own for packages analyzed later. A
-// nil store degrades to intra-package analysis.
+// Analyzers import facts that earlier passes (over this package's
+// dependencies) exported into facts, and export their own for packages
+// analyzed later. A nil store degrades to intra-package analysis.
 func RunPackageFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer, facts *FactStore) ([]Finding, error) {
 	all, err := RunPackageFactsAll(fset, files, pkg, info, analyzers, facts)
 	findings := all[:0]

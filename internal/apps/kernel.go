@@ -31,44 +31,26 @@ import (
 // sink prevents the optimizer from discarding kernel work.
 var sink atomic.Uint64
 
-// nativeMode selects how Work is performed: false (default) = virtual
-// work, true = spin on the host CPU.
-var nativeMode atomic.Bool
-
-// UnitDuration is the virtual-CPU time one work unit represents in
-// simulated mode: 1 µs. All app parameters are expressed in units, so one
-// nominal transcode frame (1500 units) costs 1.5 ms of context occupancy.
+// UnitDuration is the virtual-CPU time one work unit represents: 1 µs. All
+// app parameters are expressed in units, so one nominal transcode frame
+// (1500 units) costs 1.5 ms of context occupancy.
 const UnitDuration = time.Microsecond
 
-// SetNativeWork switches Work between spinning on the host CPU (true) and
-// virtual work (false, the default). Virtual work lets a small host model
-// the paper's 24-context Xeon: the worker occupies its hardware context —
-// the resource DoP extents ration — for the work's duration without
-// consuming a host core, so context-gated parallel speedups are observable
-// even on a single-CPU machine. Spin mode is for hosts with enough real
-// cores.
-func SetNativeWork(native bool) { nativeMode.Store(native) }
-
-// Work performs `units` of CPU-intensive work under the current mode. Call
-// it only between Worker.Begin and Worker.End, where the hardware context
-// is held.
+// Work performs `units` of virtual CPU-intensive work: it occupies the
+// caller's hardware context for units × UnitDuration. Call it only between
+// Worker.Begin and Worker.End, where the hardware context is held.
 func Work(units int) {
 	if units <= 0 {
 		return
 	}
-	if nativeMode.Load() {
-		Burn(units)
-		return
-	}
-	// The sleep is deliberate context occupancy, not a stall: in virtual
-	// mode the worker holds its hardware context for the work's duration
-	// without consuming a host core.
+	// The sleep is deliberate context occupancy, not a stall: the worker
+	// holds its hardware context for the work's duration without consuming
+	// a host core.
 	time.Sleep(time.Duration(units) * UnitDuration) //dopevet:ignore tokenhold virtual work occupies the context on purpose
 }
 
 // Burn executes a deterministic CPU-bound kernel of the given size and
-// returns its checksum. One unit is one multiply-accumulate step; use
-// Calibrate to translate units into wall time on the host.
+// returns its checksum. One unit is one xorshift step.
 func Burn(units int) uint64 {
 	var x uint64 = 88172645463325252
 	for i := 0; i < units; i++ {
@@ -78,19 +60,6 @@ func Burn(units int) uint64 {
 	}
 	sink.Store(x)
 	return x
-}
-
-// Calibrate measures how many kernel units run per microsecond on this
-// host, so experiments can express stage costs in time.
-func Calibrate() float64 {
-	const probe = 2_000_000
-	start := time.Now()
-	Burn(probe)
-	elapsed := time.Since(start)
-	if elapsed <= 0 {
-		return float64(probe)
-	}
-	return float64(probe) / float64(elapsed.Microseconds()+1)
 }
 
 // SyncOverheadFactor models the synchronization/communication overhead of

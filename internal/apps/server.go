@@ -46,7 +46,7 @@ func NewServer(clock platform.Clock) *Server {
 	return &Server{
 		Work:  queue.New[*Request](0),
 		Resp:  &metrics.ResponseRecorder{},
-		Meter: metrics.NewThroughputMeter(0.2),
+		Meter: &metrics.ThroughputMeter{},
 		clock: clock,
 	}
 }
@@ -69,9 +69,6 @@ func (s *Server) Complete(r *Request, execStart time.Time) {
 	s.Resp.Observe(execStart.Sub(r.Arrived), now.Sub(execStart))
 	s.Meter.Observe(now)
 }
-
-// Submitted returns how many requests have been submitted.
-func (s *Server) Submitted() int { return s.subs }
 
 // OuterLoop builds the canonical root nest of a two-level server
 // application (the paper's Figure 1 structure): a single PAR stage that

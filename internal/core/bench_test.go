@@ -6,67 +6,6 @@ import (
 	"time"
 )
 
-// BenchmarkBeginEnd measures the cost of one monitored CPU section — the
-// Task::begin/Task::end pair: a context acquire/release, two clock reads,
-// and the monitor update. The paper's §8.2 claims total monitoring
-// overhead below 1% "even for monitoring each and every instance of all
-// the parallel tasks"; divide this number by a task's section length to
-// check (e.g. ~300 ns against a 100 µs section is 0.3%).
-func BenchmarkBeginEnd(b *testing.B) {
-	benchBeginEnd(b, 1)
-}
-
-// BenchmarkBeginEndContended runs the same monitored section on eight PAR
-// workers over eight contexts, so every iteration crosses the token pool
-// and the stage monitor concurrently — the regime the sharded freelists
-// and per-slot accumulators exist for.
-func BenchmarkBeginEndContended(b *testing.B) {
-	benchBeginEnd(b, 8)
-}
-
-func benchBeginEnd(b *testing.B, workers int) {
-	b.ReportAllocs()
-	typ := SEQ
-	if workers > 1 {
-		typ = PAR
-	}
-	// Each slot counts its own quota in a padded plain counter so the
-	// harness does not add a shared atomic RMW to every measured iteration.
-	quota := (b.N + workers - 1) / workers
-	cnt := make([]struct {
-		n int
-		_ [56]byte
-	}, workers)
-	spec := &NestSpec{Name: "bench", Alts: []*AltSpec{{
-		Name:   "loop",
-		Stages: []StageSpec{{Name: "worker", Type: typ}},
-		Make: func(item any) (*AltInstance, error) {
-			return &AltInstance{Stages: []StageFns{{
-				Fn: func(w *Worker) Status {
-					c := &cnt[w.Slot()]
-					if c.n >= quota {
-						return Finished
-					}
-					c.n++
-					w.Begin() //dopevet:ignore suspendcheck benchmark runs under a static configuration; statuses are irrelevant
-					w.End()
-					return Executing
-				},
-			}}}, nil
-		},
-	}}}
-	e, err := New(spec,
-		WithContexts(workers),
-		WithInitialConfig(&Config{Extents: []int{workers}}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkWorkerLoop measures the full executive loop overhead per
 // iteration (functor dispatch + status checks) without a monitored section.
 func BenchmarkWorkerLoop(b *testing.B) {

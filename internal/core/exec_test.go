@@ -640,7 +640,7 @@ func TestExecTimeIsMonitored(t *testing.T) {
 		Make: func(item any) (*AltInstance, error) {
 			return &AltInstance{Stages: []StageFns{{
 				Fn: func(w *Worker) Status {
-					_, _, err := work.TryDequeue()
+					_, err := work.Dequeue()
 					if err != nil {
 						return Finished
 					}

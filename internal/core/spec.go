@@ -206,16 +206,6 @@ func (n *NestSpec) Alt(i int) *AltSpec {
 	return n.Alts[i]
 }
 
-// FindAlt returns the index of the alternative with the given name, or -1.
-func (n *NestSpec) FindAlt(name string) int {
-	for i, a := range n.Alts {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // mayOverlap reports whether instances of alternatives i and j may run side
 // by side for the length of one drain: they must be different alternatives
 // (an instance may own persistent state, such as inter-stage queues that

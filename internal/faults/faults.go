@@ -77,7 +77,6 @@ type Injector struct {
 	counters map[string]*stageCounter
 
 	injected atomic.Uint64
-	calls    atomic.Uint64
 }
 
 type stageCounter struct {
@@ -89,9 +88,6 @@ type Option func(*Injector)
 
 // WithKind selects the fault kind (default Panic).
 func WithKind(k Kind) Option { return func(in *Injector) { in.kind = k } }
-
-// WithDelay sets the stall duration for Delay faults (default 1ms).
-func WithDelay(d time.Duration) Option { return func(in *Injector) { in.delay = d } }
 
 // New returns an injector that faults the given fraction of calls (clamped
 // to [0,1]) using seed to derive the deterministic schedule. The same
@@ -118,9 +114,6 @@ func New(rate float64, seed uint64, opts ...Option) *Injector {
 
 // Injected returns how many faults have been injected.
 func (in *Injector) Injected() uint64 { return in.injected.Load() }
-
-// Calls returns how many wrapped functor calls have been observed.
-func (in *Injector) Calls() uint64 { return in.calls.Load() }
 
 func (in *Injector) counter(stage string) *stageCounter {
 	in.mu.Lock()
@@ -167,7 +160,6 @@ func (in *Injector) wrapFn(stage string, fn core.Functor) core.Functor {
 	c := in.counter(stage)
 	return func(w *core.Worker) core.Status {
 		n := c.calls.Add(1)
-		in.calls.Add(1)
 		if in.shouldFault(stage, n) {
 			in.injected.Add(1)
 			switch in.kind {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"dope"
 	"dope/internal/core"
 	"dope/internal/mechanism"
 	"dope/internal/sim"
@@ -52,8 +53,8 @@ func ExtLocality(scale float64) *Table {
 	return t
 }
 
-// ExtEDP demonstrates the energy-delay-product goal: EDP's chosen operating
-// point against pure throughput maximization (TBF restricted to the
+// ExtEDP demonstrates the energy-delay-product goal, dope.MinEnergyDelay:
+// EDP's chosen operating point against pure throughput maximization (TBF restricted to the
 // pipeline alternative) and against all-ones, with superlinear power.
 func ExtEDP(scale float64) *Table {
 	model := sim.Ferret()
@@ -87,6 +88,6 @@ func ExtEDP(scale float64) *Table {
 	ones := []int{1, 1, 1, 1, 1, 1}
 	run("all-ones static", nil, ones)
 	run("DoPE-TB (max throughput)", &mechanism.TBF{Threads: 24, DisableFusion: true}, ones)
-	run("DoPE-EDP", &mechanism.EDP{Threads: 24}, ones)
+	run("DoPE-EDP", dope.MinEnergyDelay(24).Mechanism, ones)
 	return t
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -14,6 +15,47 @@ import (
 // SEQ head and tail run at extent 1, where FailDegrade has no slot to give
 // up, so faulting them would only demonstrate escalation.
 var faultStages = []string{"segment", "extract", "index", "rank"}
+
+// ferretVictim is one ferret batch whose faultStages run behind an injector.
+type ferretVictim struct {
+	server *apps.Server
+	spec   *core.NestSpec
+	faults *faults.Injector
+	exec   *core.Exec
+}
+
+// newFerretVictim builds a ferret batch with stage cost unitsBase whose
+// faultStages inject kind faults at rate (fixed seed) and answer them with
+// policy, each invocation bounded by deadline (0 for none). The batch
+// finishes in well under a second, so the default failure budget of 8 per
+// rolling second is what the ~5–10 injected faults would be judged
+// against; a budget of 50 gives headroom, so fail-restart shows absorption,
+// not escalation. The executive runs the pipeline alternative at extent 6
+// per victim stage on the live context count, with a short restart
+// backoff, plus opts.
+func newFerretVictim(unitsBase int, kind faults.Kind, rate float64, policy core.FailurePolicy,
+	deadline time.Duration, opts ...core.Option) (*ferretVictim, error) {
+	v := &ferretVictim{server: apps.NewServer(nil)}
+	v.spec = apps.NewFerret(v.server, apps.FerretParams{UnitsBase: unitsBase})
+	for i := range v.spec.Alts[0].Stages {
+		st := &v.spec.Alts[0].Stages[i]
+		if slices.Contains(faultStages, st.Name) {
+			st.OnFailure = policy
+			st.FailureBudget = 50
+			st.Deadline = deadline
+		}
+	}
+	v.faults = faults.New(rate, 7, faults.WithKind(kind))
+	v.faults.WrapNest(v.spec, faultStages...)
+	opts = append([]core.Option{
+		core.WithContexts(liveContexts),
+		core.WithInitialConfig(&core.Config{Alt: 0, Extents: []int{1, 6, 6, 6, 6, 1}}),
+		core.WithRestartBackoff(200*time.Microsecond, 5*time.Millisecond),
+	}, opts...)
+	var err error
+	v.exec, err = core.New(v.spec, opts...)
+	return v, err
+}
 
 // Faults measures throughput under deterministic fault injection for each
 // failure policy. The same ferret batch and the same injected-panic
@@ -80,34 +122,11 @@ func (r *faultsResult) row(baseRate float64) []string {
 // policy on the victim stages.
 func faultsArm(name string, rate float64, policy core.FailurePolicy) (*faultsResult, error) {
 	const nReq = 240
-	s := apps.NewServer(nil)
-	spec := apps.NewFerret(s, apps.FerretParams{UnitsBase: 120})
-	victim := make(map[string]bool, len(faultStages))
-	for _, st := range faultStages {
-		victim[st] = true
-	}
-	for i := range spec.Alts[0].Stages {
-		st := &spec.Alts[0].Stages[i]
-		if victim[st.Name] {
-			st.OnFailure = policy
-			// The batch finishes in well under a second, so the default
-			// budget of 8 per rolling second is what ~10 injected faults
-			// are judged against; give the demo headroom so fail-restart
-			// shows absorption, not escalation.
-			st.FailureBudget = 50
-		}
-	}
-	in := faults.New(rate, 7, faults.WithKind(faults.Panic))
-	in.WrapNest(spec, faultStages...)
-
-	e, err := core.New(spec,
-		core.WithContexts(liveContexts),
-		core.WithInitialConfig(&core.Config{Alt: 0, Extents: []int{1, 6, 6, 6, 6, 1}}),
-		core.WithRestartBackoff(200*time.Microsecond, 5*time.Millisecond),
-	)
+	v, err := newFerretVictim(120, faults.Panic, rate, policy, 0)
 	if err != nil {
 		return nil, err
 	}
+	s, spec, e := v.server, v.spec, v.exec
 	for i := 0; i < nReq; i++ {
 		s.Submit(1.0)
 	}
@@ -117,7 +136,7 @@ func faultsArm(name string, rate float64, policy core.FailurePolicy) (*faultsRes
 	res := &faultsResult{
 		name:     name,
 		rate:     s.Meter.Overall(),
-		injected: in.Injected(),
+		injected: v.faults.Injected(),
 		absorbed: e.TaskFailures(),
 		outcome:  "completed",
 	}

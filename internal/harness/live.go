@@ -14,7 +14,7 @@ import (
 
 // The live experiments run the actual DoPE executive (goroutines, queues,
 // suspension protocol) over the synthetic applications, at a scale that
-// finishes in seconds. Work is virtual (see apps.SetNativeWork): a task
+// finishes in seconds. Work is virtual (see apps.Work): a task
 // occupies one of the 24 simulated hardware contexts for its work's
 // duration, so context-gated speedups are observable on any host.
 
@@ -87,7 +87,7 @@ func calibrateTranscode(params apps.TranscodeParams) (float64, error) {
 	if err := e.Run(); err != nil {
 		return 0, err
 	}
-	return float64(n) / time.Since(start).Seconds(), nil
+	return workload.MaxThroughput(n, time.Since(start)), nil
 }
 
 // runLiveServer runs one live server experiment and returns the mean

@@ -142,28 +142,8 @@ func (r *stallsResult) row(baseRate float64) []string {
 // per-invocation deadline, so the executive's watchdog — not the
 // application — is what unwedges each stall.
 func stallsArm(name string, rate float64, policy core.FailurePolicy) (*stallsResult, error) {
-	s := apps.NewServer(nil)
-	spec := apps.NewFerret(s, apps.FerretParams{UnitsBase: 240})
-	victim := make(map[string]bool, len(faultStages))
-	for _, st := range faultStages {
-		victim[st] = true
-	}
-	for i := range spec.Alts[0].Stages {
-		st := &spec.Alts[0].Stages[i]
-		if victim[st.Name] {
-			st.OnFailure = policy
-			st.FailureBudget = 50 // judge ~5 stalls against headroom, as in faultsArm
-			st.Deadline = stallDeadline
-		}
-	}
-	in := faults.New(rate, 7, faults.WithKind(faults.Stall))
-	in.WrapNest(spec, faultStages...)
-
 	var maxDetect atomic.Int64
-	e, err := core.New(spec,
-		core.WithContexts(liveContexts),
-		core.WithInitialConfig(&core.Config{Alt: 0, Extents: []int{1, 6, 6, 6, 6, 1}}),
-		core.WithRestartBackoff(200*time.Microsecond, 5*time.Millisecond),
+	v, err := newFerretVictim(240, faults.Stall, rate, policy, stallDeadline,
 		core.WithDrainTimeout(250*time.Millisecond),
 		core.WithTrace(func(ev core.Event) {
 			if ev.Kind == core.EventTaskStall && !ev.DuringDrain {
@@ -179,6 +159,7 @@ func stallsArm(name string, rate float64, policy core.FailurePolicy) (*stallsRes
 	if err != nil {
 		return nil, err
 	}
+	s, e := v.server, v.exec
 	for i := 0; i < stallReqs; i++ {
 		if err := s.Submit(1.0); err != nil {
 			return nil, err

@@ -58,24 +58,11 @@ func Tenants(scale float64) *Table {
 }
 
 // tenantsRaw carries the unformatted per-arm results for the acceptance
-// test: resAt(arm, name) and the solo p99 baselines.
+// test: each arm's results and the solo p99 baselines.
 type tenantsRaw struct {
 	solo       map[string]sim.TenantResult
 	freeForAll []sim.TenantResult
 	arbitrated []sim.TenantResult
-}
-
-func (r *tenantsRaw) ratio(arm []sim.TenantResult, name string) float64 {
-	base, ok := r.solo[name]
-	if !ok || base.P99 <= 0 {
-		return 0
-	}
-	for _, res := range arm {
-		if res.Name == name {
-			return res.P99 / base.P99
-		}
-	}
-	return 0
 }
 
 func tenantsRun(scale float64) (*Table, *tenantsRaw) {

@@ -1,6 +1,10 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"dope/internal/sim"
+)
 
 // TestTenantsIsolationAcceptance is the PR's acceptance check for the
 // multi-tenant isolation experiment: with tenant A offered 2x the machine's
@@ -55,4 +59,19 @@ func TestTenantsIsolationAcceptance(t *testing.T) {
 	if arbA[2] == 0 {
 		t.Fatal("tenant A recorded no panics at 1% injection")
 	}
+}
+
+// ratio is an arm's p99 for the named tenant over its solo p99 (0 when
+// either is missing).
+func (r *tenantsRaw) ratio(arm []sim.TenantResult, name string) float64 {
+	base, ok := r.solo[name]
+	if !ok || base.P99 <= 0 {
+		return 0
+	}
+	for _, res := range arm {
+		if res.Name == name {
+			return res.P99 / base.P99
+		}
+	}
+	return 0
 }

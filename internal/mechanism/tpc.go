@@ -68,18 +68,6 @@ const (
 // Name implements core.Mechanism.
 func (m *TPC) Name() string { return "TPC" }
 
-// Phase returns a human-readable controller phase for traces.
-func (m *TPC) Phase() string {
-	switch m.phase {
-	case tpcRamp:
-		return "ramp"
-	case tpcExplore:
-		return "explore"
-	default:
-		return "stable"
-	}
-}
-
 // Reconfigure implements core.Mechanism.
 func (m *TPC) Reconfigure(r *core.Report) *core.Config {
 	nest := nestAt(r, m.Path)

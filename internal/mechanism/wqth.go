@@ -45,10 +45,6 @@ type WQTH struct {
 // Name implements core.Mechanism.
 func (m *WQTH) Name() string { return "WQT-H" }
 
-// InPar reports whether the machine is currently in the PAR (latency-mode)
-// state; exported for traces and tests.
-func (m *WQTH) InPar() bool { return m.inPar }
-
 // Reconfigure implements core.Mechanism.
 func (m *WQTH) Reconfigure(r *core.Report) *core.Config {
 	outerIdx, inner, ok := serverShape(r)

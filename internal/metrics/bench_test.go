@@ -2,49 +2,14 @@ package metrics_test
 
 import (
 	"testing"
-	"time"
 
-	"dope/internal/core"
-	"dope/internal/metrics"
+	"dope/internal/microbench"
 )
 
-// BenchmarkBeginEndCollector is the go-test twin of the microbench gate
-// case: the uncontended Begin/End loop with a Collector tapping the trace
-// stream and sampling Report every 10ms. ReportAllocs counts the sampler's
+// BenchmarkBeginEndCollector is the uncontended Begin/End loop with a
+// Collector tapping the trace stream and sampling Report every 10ms, the
+// body dope-bench -bench beginend gates (see
+// microbench.RunBeginEndCollector). ReportAllocs counts the sampler's
 // allocations too, so the 0 allocs/op hot-path guarantee holds only if the
 // collector stays off the Begin/End path and its own work amortizes away.
-func BenchmarkBeginEndCollector(b *testing.B) {
-	b.ReportAllocs()
-	var n int
-	spec := &core.NestSpec{Name: "bench", Alts: []*core.AltSpec{{
-		Name:   "loop",
-		Stages: []core.StageSpec{{Name: "worker", Type: core.SEQ}},
-		Make: func(item any) (*core.AltInstance, error) {
-			return &core.AltInstance{Stages: []core.StageFns{{
-				Fn: func(w *core.Worker) core.Status {
-					if n >= b.N {
-						return core.Finished
-					}
-					n++
-					w.Begin() //dopevet:ignore suspendcheck benchmark runs under a static configuration; statuses are irrelevant
-					w.End()
-					return core.Executing
-				},
-			}}}, nil
-		},
-	}}}
-	e, err := core.New(spec,
-		core.WithContexts(1),
-		core.WithInitialConfig(&core.Config{Extents: []int{1}}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	col := metrics.NewCollector(256)
-	defer col.Close()
-	release := col.Attach(e, 10*time.Millisecond)
-	defer release()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
+func BenchmarkBeginEndCollector(b *testing.B) { microbench.RunBeginEndCollector(b) }

@@ -369,18 +369,6 @@ func (c *Collector) Snapshot(since uint64) *Snapshot {
 	return out
 }
 
-// SeriesNames returns the sorted names of all series observed so far.
-func (c *Collector) SeriesNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.series))
-	for name := range c.series {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Attach subscribes the collector to a live executive: a trace tap feeds
 // the decision log and a sampler goroutine calls ObserveReport every
 // interval until the executive finishes or the returned release is called.

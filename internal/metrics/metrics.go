@@ -72,23 +72,14 @@ func (r *ResponseRecorder) Percentile(p float64) (float64, error) {
 	return stats.Percentile(r.responses, p)
 }
 
-// ThroughputMeter measures completions per second over its lifetime and
-// over a sliding recent interval.
+// ThroughputMeter measures completions per second over its lifetime. The
+// zero value is ready to use.
 type ThroughputMeter struct {
 	mu      sync.Mutex
 	start   time.Time
 	last    time.Time
 	total   uint64
 	started bool
-
-	recent       *stats.EWMA // completions/sec, EWMA over inter-completion gaps
-	lastComplete time.Time
-}
-
-// NewThroughputMeter returns a meter; alpha controls how quickly the recent
-// throughput estimate adapts (0.1–0.3 works well for mechanism feedback).
-func NewThroughputMeter(alpha float64) *ThroughputMeter {
-	return &ThroughputMeter{recent: stats.NewEWMA(alpha)}
 }
 
 // Start marks the measurement epoch at now. Observations before Start use
@@ -110,13 +101,6 @@ func (m *ThroughputMeter) Observe(now time.Time) {
 	}
 	m.total++
 	m.last = now
-	if !m.lastComplete.IsZero() {
-		gap := now.Sub(m.lastComplete).Seconds()
-		if gap > 0 {
-			m.recent.Observe(1 / gap)
-		}
-	}
-	m.lastComplete = now
 }
 
 // Total returns the number of completions observed.
@@ -135,13 +119,6 @@ func (m *ThroughputMeter) Overall() float64 {
 		return 0
 	}
 	return float64(m.total) / m.last.Sub(m.start).Seconds()
-}
-
-// Recent returns the EWMA estimate of current throughput (completions/sec).
-func (m *ThroughputMeter) Recent() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recent.Value()
 }
 
 // Series is an append-only time series of (t, value) points used by the

@@ -126,7 +126,14 @@ func beginEndSpec(quota int, workers int) *core.NestSpec {
 	}}}
 }
 
-func runBeginEnd(workers int) func(b *testing.B) {
+// RunBeginEnd returns the Begin/End benchmark body for the given number of
+// workers: one monitored CPU section per iteration — the paper's
+// Task::begin/Task::end pair, a context acquire and release, the sampled
+// clock read (Worker.Begin times one window in k while windows are short)
+// and the slot recorder update. cmd/dope-bench runs it through BeginEnd;
+// internal/core's BenchmarkBeginEnd and BenchmarkBeginEndContended call it
+// under go test -bench.
+func RunBeginEnd(workers int) func(b *testing.B) {
 	return func(b *testing.B) {
 		b.ReportAllocs()
 		spec := beginEndSpec((b.N+workers-1)/workers, workers)
@@ -182,13 +189,14 @@ func runBeginEndMultiTenant(b *testing.B) {
 	}
 }
 
-// runBeginEndCollector is the acceptance check for the live-ops layer:
+// RunBeginEndCollector is the acceptance check for the live-ops layer:
 // the same uncontended Begin/End loop, but with a metrics.Collector tapping
 // the trace stream and sampling Report every 10ms while the benchmark runs.
 // testing.Benchmark counts every allocation in the process, so the
 // collector's own sampling shows up here — and must still amortize to
-// 0 allocs/op over the measured iterations.
-func runBeginEndCollector(b *testing.B) {
+// 0 allocs/op over the measured iterations. internal/metrics's
+// BenchmarkBeginEndCollector calls it under go test -bench.
+func RunBeginEndCollector(b *testing.B) {
 	b.ReportAllocs()
 	spec := beginEndSpec(b.N, 1)
 	e, err := core.New(spec,
@@ -210,11 +218,11 @@ func runBeginEndCollector(b *testing.B) {
 // BeginEnd runs the Begin/End suite and returns its results.
 func BeginEnd() []Result {
 	return measure([]benchCase{
-		{"BeginEnd", runBeginEnd(1)},
-		{"BeginEndContended8", runBeginEnd(8)},
-		{"BeginEndContended2", runBeginEnd(2)},
+		{"BeginEnd", RunBeginEnd(1)},
+		{"BeginEndContended8", RunBeginEnd(8)},
+		{"BeginEndContended2", RunBeginEnd(2)},
 		{"BeginEndMultiTenant", runBeginEndMultiTenant},
-		{"BeginEndCollector", runBeginEndCollector},
+		{"BeginEndCollector", RunBeginEndCollector},
 	}, 5)
 }
 

@@ -57,6 +57,11 @@ type StageStats struct {
 	// the siblings without the lock. Read-mostly: written once per slot
 	// start and exit.
 	live atomic.Pointer[[]*SlotRecorder]
+	// releasedEnd is the newest window close (UnixNano) among the slots
+	// released since the last gap reset, noTime if none: a Begin that
+	// banks idle time measures from it when the released slot closed after
+	// every live one. Written under mu before the live list drops the slot.
+	releasedEnd atomic.Int64
 
 	mu   sync.Mutex
 	recs []*SlotRecorder // live per-slot accumulators, drained by foldLocked
@@ -112,6 +117,7 @@ func newStageStats(alpha float64) *StageStats {
 	}
 	s.lastAtNanos = noTime
 	s.live.Store(new([]*SlotRecorder))
+	s.releasedEnd.Store(noTime)
 	return s
 }
 
@@ -186,10 +192,15 @@ func (s *StageStats) publishLocked() {
 }
 
 // Release folds the recorder's remaining accumulation and unregisters it.
+// Its newest close stays on record at stage level, so a later Begin can
+// tell when the stage last worked.
 func (rec *SlotRecorder) Release() {
 	s := rec.s
 	s.mu.Lock()
 	s.foldLocked()
+	if e := rec.endAt.Load(); !rec.dead.Load() && e > s.releasedEnd.Load() {
+		s.releasedEnd.Store(e)
+	}
 	for i, r := range s.recs {
 		if r == rec {
 			s.recs = append(s.recs[:i], s.recs[i+1:]...)
@@ -225,12 +236,14 @@ func (rec *SlotRecorder) ObserveBegin(nowNanos int64) {
 
 // beginSlow is ObserveBegin's rare part, split out so the common case
 // inlines: the slot's first stamped Begin, and a Begin that ends a long gap.
+// The first stamped Begin always checks for idleness: the slot has no close
+// of its own to measure a gap from, but its siblings, live or released, may.
 func (rec *SlotRecorder) beginSlow(nowNanos int64) {
 	if !rec.stamped {
 		rec.stamped = true
 		rec.first.Store(nowNanos)
-	}
-	if rec.lastEnd != noTime && nowNanos-rec.lastEnd >= idleScanGap {
+		rec.bankIdle(nowNanos)
+	} else if rec.lastEnd != noTime && nowNanos-rec.lastEnd >= idleScanGap {
 		rec.bankIdle(nowNanos)
 	}
 	rec.scanAfter = math.MaxInt64 // until the next close
@@ -246,7 +259,10 @@ func (rec *SlotRecorder) ObserveBeginUntimed() {
 // Every slot stores its open state before reading its siblings' (both
 // sequentially consistent), so of two Begins racing out of one idle
 // stretch at least one sees the other open: the stretch is banked at most
-// once.
+// once. The stretch starts at the newest close among the live slots and the
+// released ones; releasedEnd is read after the live list, and Release
+// stores it before republishing that list, so a slot is always seen in one
+// or the other.
 func (rec *SlotRecorder) bankIdle(nowNanos int64) {
 	newest := int64(noTime)
 	for _, r := range *rec.s.live.Load() {
@@ -260,6 +276,7 @@ func (rec *SlotRecorder) bankIdle(nowNanos int64) {
 			newest = e
 		}
 	}
+	newest = max(newest, rec.s.releasedEnd.Load())
 	if newest != noTime && nowNanos > newest {
 		rec.idle.Add(nowNanos - newest)
 	}
@@ -430,6 +447,7 @@ func (s *StageStats) ObserveWorkerExit(retired bool) {
 func (s *StageStats) resetGapLocked() {
 	s.lastAtNanos = noTime
 	s.idleBank = 0
+	s.releasedEnd.Store(noTime)
 	for _, rec := range s.recs {
 		rec.foldedIdle = rec.idle.Load()
 		rec.first.Store(noTime)

@@ -73,6 +73,29 @@ func TestSlotIdleAbandonedSibling(t *testing.T) {
 	}
 }
 
+// TestSlotIdleAfterTurnover: the stretch between a released slot's last
+// close and a fresh slot's first Begin is stage idle time. The released
+// slot has left the live list and the fresh one has no close of its own, so
+// only the stage-level record of released closes can bound the stretch.
+func TestSlotIdleAfterTurnover(t *testing.T) {
+	s := newStageStats(0.5)
+	for range 3 {
+		s.ObserveWorkerStart()
+	}
+	a, b, _ := s.NewSlotRecorder(), s.NewSlotRecorder(), s.NewSlotRecorder()
+	ms := func(n int64) int64 { return time.Unix(50, 0).UnixNano() + n*int64(time.Millisecond) }
+	a.ObserveBegin(ms(0))
+	a.ObserveEnd(ms(10), ms(10)) // 10 ms from the first open: 100/s
+	a.Release()
+	s.ObserveWorkerExit(false)
+	b.ObserveBegin(ms(60_010))
+	b.ObserveEnd(ms(10), ms(60_020))
+	// 60.01 s of wall time minus the 60 s with every slot closed: 100/s.
+	if got := s.Snapshot().Rate; math.Abs(got-100) > 1e-9 {
+		t.Fatalf("rate = %v, want 100: the idle minute after the released slot's close counted as work", got)
+	}
+}
+
 // TestSlotSampledWeights: an untimed window is represented by the next
 // timed one, so the lifetime mean is the weighted estimate and iterations
 // count every window.

@@ -48,14 +48,6 @@ func (f *Features) Value(name string) (float64, error) {
 	return cb(), nil
 }
 
-// Has reports whether the named feature is registered.
-func (f *Features) Has(name string) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	_, ok := f.cbs[name]
-	return ok
-}
-
 // Names returns the registered feature names in sorted order.
 func (f *Features) Names() []string {
 	f.mu.RLock()

@@ -214,9 +214,6 @@ func TestContextsNeverExceedsN(t *testing.T) {
 
 func TestFeaturesRegistry(t *testing.T) {
 	f := NewFeatures()
-	if f.Has(FeatureSystemPower) {
-		t.Fatal("fresh registry should be empty")
-	}
 	if _, err := f.Value(FeatureSystemPower); err == nil {
 		t.Fatal("unknown feature should error")
 	}
@@ -231,7 +228,7 @@ func TestFeaturesRegistry(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 	f.Register(FeatureSystemPower, nil) // remove
-	if f.Has(FeatureSystemPower) {
+	if _, err := f.Value(FeatureSystemPower); err == nil {
 		t.Fatal("nil registration should remove")
 	}
 }

@@ -97,9 +97,6 @@ func clampQuota(q, n int) int {
 	return q
 }
 
-// Shared returns the machine-wide pool this view draws from.
-func (t *TenantPool) Shared() *Contexts { return t.shared }
-
 // N returns the tenant's current quota (the pool size its mechanisms should
 // plan against).
 func (t *TenantPool) N() int { return int(t.word.Load() >> tpUsedBits) }

@@ -32,15 +32,6 @@ func (t Topology) SocketOf(ctx int) int {
 	return s
 }
 
-// SocketSpan returns how many distinct sockets a contiguous block of n
-// contexts starting at context `start` touches.
-func (t Topology) SocketSpan(start, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return t.SocketOf(start+n-1) - t.SocketOf(start) + 1
-}
-
 // SharedFraction estimates the fraction of communication between two
 // context blocks that stays on-socket: the overlap of their socket sets
 // weighted by the receiving block's distribution. Blocks are contiguous

@@ -103,8 +103,8 @@ type Queue[T any] struct {
 	// queues without such consumers pay nothing per enqueue.
 	//
 	// Wakeup audit: every path that makes an item (or closure) observable —
-	// pushLocked, which Enqueue, TryEnqueue and the shed-oldest swap all go
-	// through, and Close — must call wakeLocked before releasing q.mu. A
+	// pushLocked, which Enqueue and the shed-oldest swap both go through,
+	// and Close — must call wakeLocked before releasing q.mu. A
 	// DequeueUntil waiter has no timer to fall back on, so a missed wakeup
 	// there parks it until its done channel closes; a DequeueWhile waiter
 	// sleeps a full poll period. Dequeue-side transitions (occupancy
@@ -129,8 +129,8 @@ type Queue[T any] struct {
 	// cost no clock read on either side. stride adapts to the gap between
 	// consecutive stamps (see stampLocked), so it is 1 — every item
 	// stamped — on any queue whose items arrive at least 100 µs apart
-	// (up to ~10 k items/s). nowFn is the injectable clock for tests and
-	// simulations.
+	// (up to ~10 k items/s). nowFn, when a test sets it, replaces the
+	// clock.
 	stride    uint32
 	skip      uint32 // pushes left before the next stamp
 	lastStamp int64  // unstamped until the first stamp
@@ -227,21 +227,6 @@ func (q *Queue[T]) Enqueue(item T) error {
 	return nil
 }
 
-// TryEnqueue appends item without blocking. It reports false when the queue
-// is full, and ErrClosed when closed.
-func (q *Queue[T]) TryEnqueue(item T) (bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false, ErrClosed
-	}
-	if q.tail-q.head >= q.limit {
-		return false, nil
-	}
-	q.pushLocked(item)
-	return true, nil
-}
-
 // pushLocked writes item into the cell at tail, publishes the new
 // occupancy and wakes one blocked consumer and every DequeueUntil and
 // DequeueWhile waiter.
@@ -326,22 +311,6 @@ func (q *Queue[T]) Dequeue() (T, error) {
 	item := q.popLocked()
 	q.mu.Unlock()
 	return item, nil
-}
-
-// TryDequeue removes and returns the oldest item without blocking. The bool
-// reports whether an item was returned; err is ErrClosed only when the queue
-// is closed and drained.
-func (q *Queue[T]) TryDequeue() (T, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head == q.tail {
-		var zero T
-		if q.closed {
-			return zero, false, ErrClosed
-		}
-		return zero, false, nil
-	}
-	return q.popLocked(), true, nil
 }
 
 // popLocked takes the head cell for service: clears it (so the ring does
@@ -463,13 +432,6 @@ func (q *Queue[T]) Reopen() {
 	q.mu.Unlock()
 }
 
-// Closed reports whether Close has been called (and not undone by Reopen).
-func (q *Queue[T]) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}
-
 // Len returns the instantaneous occupancy without locking; it is the
 // intended implementation for a task's LoadCB.
 func (q *Queue[T]) Len() int { return int(q.occupancy.Load()) }
@@ -477,40 +439,16 @@ func (q *Queue[T]) Len() int { return int(q.occupancy.Load()) }
 // Peak returns the highest occupancy ever observed.
 func (q *Queue[T]) Peak() int { return int(q.peak.Load()) }
 
-// Enqueued returns the total number of successful Enqueue operations.
-func (q *Queue[T]) Enqueued() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.tail
-}
-
-// Dequeued returns the total number of successful Dequeue operations.
-func (q *Queue[T]) Dequeued() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.dequeued
-}
-
 // Shed returns the total number of items dropped by the overload policy.
 func (q *Queue[T]) Shed() uint64 { return q.shed.Load() }
 
-// nowNanosLocked reads the queue's clock. Callers hold q.mu (nowFn is written by
-// SetNowFunc before the queue is shared).
+// nowNanosLocked reads the queue's clock. Callers hold q.mu (tests set nowFn
+// before the queue is shared).
 func (q *Queue[T]) nowNanosLocked() int64 {
 	if q.nowFn != nil {
 		return q.nowFn()
 	}
 	return int64(time.Since(epoch))
-}
-
-// SetNowFunc installs a clock for sojourn stamps (nanoseconds since any
-// fixed origin; only differences are used). Pass nil to restore the
-// monotonic clock. Intended for tests and virtual-time simulations; call
-// before the queue is shared between goroutines.
-func (q *Queue[T]) SetNowFunc(now func() int64) {
-	q.mu.Lock()
-	q.nowFn = now
-	q.mu.Unlock()
 }
 
 // MeanSojourn returns the smoothed queue wait in seconds of items that were
@@ -519,18 +457,9 @@ func (q *Queue[T]) SetNowFunc(now func() int64) {
 // ones, and folding them in would overstate the sojourn of the surviving
 // flow (and hence the apparent payoff of speeding up an overloaded stage).
 // On a hot queue the mean is over the stamped sample of items, not all of
-// them. Returns 0 before the first dequeue; check SojournSamples to
-// distinguish "fast" from "no data".
+// them. Returns 0 before the first dequeue.
 func (q *Queue[T]) MeanSojourn() float64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.sojourn.Value()
-}
-
-// SojournSamples returns how many dequeued items have contributed to
-// MeanSojourn.
-func (q *Queue[T]) SojournSamples() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.sojourn.Count()
 }

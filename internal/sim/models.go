@@ -253,19 +253,6 @@ func (m *PipelineModel) FusedTime() float64 {
 	return t
 }
 
-// StageService returns stage i's per-item service time at the given extent
-// (coordination overhead included, hop cost for stages after the first).
-func (m *PipelineModel) StageService(i, extent int) float64 {
-	t := m.StageTimes[i]
-	if i > 0 {
-		t += m.HopTime
-	}
-	if m.StageTypes[i] == core.PAR && extent > 1 {
-		t *= 1 + m.Sigma*float64(extent-1)
-	}
-	return t
-}
-
 // Ferret models the 6-stage image-search engine. The rank stage dominates
 // (similarity search against the whole index), so a static even thread
 // distribution starves it badly — which is why the paper's Pthreads-OS row

@@ -360,19 +360,25 @@ func (s *pipeSim) contention(busyAfter int) float64 {
 }
 
 // stageService is stage i's per-item time under the current extents and
-// placement: base time, forwarding cost scaled by the placement's locality
-// multiplier, and coordination inflation.
+// placement.
 func (s *pipeSim) stageService(i int) float64 {
-	t := s.model.StageTimes[i]
-	if i > 0 {
-		m := 1.0
-		if i < len(s.hopMult) {
-			m = s.hopMult[i]
-		}
-		t += s.model.HopTime * m
+	hop := 1.0
+	if i < len(s.hopMult) {
+		hop = s.hopMult[i]
 	}
-	if s.model.StageTypes[i] == core.PAR && s.extents[i] > 1 {
-		t *= 1 + s.model.Sigma*float64(s.extents[i]-1)
+	return s.model.stageService(i, s.extents[i], hop)
+}
+
+// stageService is stage i's per-item time at the given extent: base time,
+// forwarding cost scaled by the placement's locality multiplier hop (stages
+// after the first), and coordination inflation.
+func (m *PipelineModel) stageService(i, extent int, hop float64) float64 {
+	t := m.StageTimes[i]
+	if i > 0 {
+		t += m.HopTime * hop
+	}
+	if m.StageTypes[i] == core.PAR && extent > 1 {
+		t *= 1 + m.Sigma*float64(extent-1)
 	}
 	return t
 }
@@ -477,14 +483,7 @@ func (s *pipeSim) setExtents(alt int, extents []int) {
 			if alt == 1 {
 				return s.fusedService(e[0])
 			}
-			t := s.model.StageTimes[stage]
-			if stage > 0 {
-				t += s.model.HopTime * mult
-			}
-			if s.model.StageTypes[stage] == core.PAR && e[stage] > 1 {
-				t *= 1 + s.model.Sigma*float64(e[stage]-1)
-			}
-			return t
+			return s.model.stageService(stage, e[stage], mult)
 		})
 	if len(s.busy) < n {
 		nb := make([]int, n)

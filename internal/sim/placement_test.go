@@ -92,9 +92,6 @@ func TestTopologyBasics(t *testing.T) {
 	if topo.SocketOf(-1) != 0 || topo.SocketOf(99) != 3 {
 		t.Fatal("socket clamping wrong")
 	}
-	if topo.SocketSpan(0, 6) != 1 || topo.SocketSpan(5, 2) != 2 || topo.SocketSpan(0, 0) != 0 {
-		t.Fatal("socket span wrong")
-	}
 	if f := topo.SharedFraction(0, 6, 0, 6); f != 1 {
 		t.Fatalf("same-block shared fraction = %v", f)
 	}

@@ -106,10 +106,6 @@ func TestWelfordAgainstClosedForm(t *testing.T) {
 	if w.Mean() != 5 {
 		t.Errorf("mean = %v, want 5", w.Mean())
 	}
-	// Sample variance of this classic set is 32/7.
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-9 {
-		t.Errorf("variance = %v, want %v", w.Variance(), 32.0/7.0)
-	}
 	if w.Min() != 2 || w.Max() != 9 {
 		t.Errorf("min/max = %v/%v", w.Min(), w.Max())
 	}
@@ -117,15 +113,12 @@ func TestWelfordAgainstClosedForm(t *testing.T) {
 
 func TestWelfordSmallCounts(t *testing.T) {
 	var w Welford
-	if w.Variance() != 0 || w.Mean() != 0 {
+	if w.Count() != 0 || w.Mean() != 0 || w.Min() != 0 || w.Max() != 0 {
 		t.Error("zero-value Welford should report zeros")
 	}
 	w.Observe(3)
-	if w.Variance() != 0 {
-		t.Error("variance of one sample should be 0")
-	}
-	if w.Mean() != 3 {
-		t.Errorf("mean = %v", w.Mean())
+	if w.Count() != 1 || w.Mean() != 3 || w.Min() != 3 || w.Max() != 3 {
+		t.Errorf("one sample: count %d mean %v min %v max %v", w.Count(), w.Mean(), w.Min(), w.Max())
 	}
 }
 

@@ -55,23 +55,6 @@ func (r *PointRing) Len() int {
 	return r.n
 }
 
-// Cap returns the ring capacity.
-func (r *PointRing) Cap() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
-// Last returns the newest point and whether the ring is non-empty.
-func (r *PointRing) Last() (Point, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n == 0 {
-		return Point{}, false
-	}
-	return r.buf[(r.head+r.n-1)%len(r.buf)], true
-}
-
 // Since copies out every held point with Seq > cursor, oldest first. A zero
 // cursor returns the whole window. Points older than the ring window are
 // gone — an incremental consumer that slept too long simply resumes from

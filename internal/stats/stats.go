@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by the DoPE
 // runtime and its experiment harness: exponentially weighted moving
-// averages, online mean/variance (Welford), simple moving windows,
-// percentiles, histograms, and a least-squares line fit.
+// averages, online mean/min/max (Welford), percentiles, and the point ring
+// behind the collector's time series.
 //
 // Everything here is deliberately allocation-light: mechanisms consult these
 // estimators on the hot reconfiguration path, and the paper reports total
@@ -16,60 +16,6 @@ import (
 
 // ErrEmpty is returned by reductions over empty data sets.
 var ErrEmpty = errors.New("stats: empty data set")
-
-// Mean returns the arithmetic mean of xs, or 0 if xs is empty.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values make the result NaN, matching the mathematical domain.
-// It returns 0 for empty input.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Min returns the smallest element of xs. It returns an error for empty input.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs. It returns an error for empty input.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. xs need not be sorted; a copy is

@@ -125,7 +125,7 @@ func TestFrameIsPure(t *testing.T) {
 	m := NewModel(32, Opts{})
 	defer m.Close()
 	m.Ingest(replay.Encode(report(1.0, 3, 99)))
-	m.IngestTenants(1.0, []metrics.TenantSample{
+	m.col.ObserveTenants(1.0, []metrics.TenantSample{
 		{Name: "video", State: "running", Quota: 5, Used: 4, Grants: 2, Revokes: 1},
 	})
 	a, b := m.Frame(), m.Frame()

@@ -226,11 +226,6 @@ func (m *Model) Ingest(e *replay.Entry) {
 	m.col.ObserveReport(replay.Decode(e))
 }
 
-// IngestTenants forwards a tenant sweep into the model's collector.
-func (m *Model) IngestTenants(t float64, samples []metrics.TenantSample) {
-	m.col.ObserveTenants(t, samples)
-}
-
 // Frame renders the current screen.
 func (m *Model) Frame() string {
 	return Frame(m.last, m.col.Snapshot(0), m.opts)

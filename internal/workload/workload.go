@@ -45,17 +45,6 @@ func (a *Arrivals) Next() time.Duration {
 	return time.Duration(gap * float64(time.Second))
 }
 
-// Times returns the first n absolute arrival offsets from time zero.
-func (a *Arrivals) Times(n int) []time.Duration {
-	out := make([]time.Duration, n)
-	var t time.Duration
-	for i := range out {
-		t += a.Next()
-		out[i] = t
-	}
-	return out
-}
-
 // LoadFactor describes an experiment operating point: the ratio of the mean
 // arrival rate to the system's maximum sustainable throughput.
 type LoadFactor float64

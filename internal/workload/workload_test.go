@@ -51,19 +51,6 @@ func TestArrivalsGapsPositive(t *testing.T) {
 	}
 }
 
-func TestArrivalsTimesMonotone(t *testing.T) {
-	a := NewArrivals(5, 3)
-	ts := a.Times(50)
-	if len(ts) != 50 {
-		t.Fatalf("len = %d", len(ts))
-	}
-	for i := 1; i < len(ts); i++ {
-		if ts[i] <= ts[i-1] {
-			t.Fatalf("times not strictly increasing at %d", i)
-		}
-	}
-}
-
 func TestArrivalsPanicsOnBadRate(t *testing.T) {
 	defer func() {
 		if recover() == nil {
